@@ -244,12 +244,10 @@ ColdAdvise next_cold_advise(Rng& rng, const core::ConfigSpace& space) {
   return a;
 }
 
-std::vector<cluster::Config> writer_configs() {
+std::vector<cluster::Config> homogeneous_configs(const core::ConfigSpace& space) {
   std::vector<cluster::Config> configs;
-  for (int m = 1; m <= 6; ++m)
-    configs.push_back(cluster::Config::paper(1, m, 0, 0));
-  for (int k = 1; k <= 8; ++k)
-    configs.push_back(cluster::Config::paper(0, 0, k, 1));
+  for (const auto& config : space.all())
+    if (config.usage.size() == 1) configs.push_back(config);
   return configs;
 }
 
@@ -259,13 +257,14 @@ std::vector<int> writer_sizes() {
   return sizes;
 }
 
-std::vector<WriteOp> writer_sequence() {
-  const std::vector<cluster::Config> configs = writer_configs();
+std::vector<WriteOp> writer_sequence(const std::vector<cluster::Config>& configs,
+                                     int rounds, int observes,
+                                     std::uint64_t seed) {
   const std::vector<int> sizes = writer_sizes();
-  Rng rng(stream_seed(20040426, 200));
+  Rng rng(seed);
   std::vector<WriteOp> ops;
-  for (int r = 0; r < kWriterRounds; ++r) {
-    for (int i = 0; i < kObservesPerRefit; ++i) {
+  for (int r = 0; r < rounds; ++r) {
+    for (int i = 0; i < observes; ++i) {
       WriteOp op;
       op.config = configs[rng.uniform_index(configs.size())];
       op.n = sizes[rng.uniform_index(sizes.size())];
@@ -274,6 +273,11 @@ std::vector<WriteOp> writer_sequence() {
     ops.push_back(WriteOp{true, {}, 0});
   }
   return ops;
+}
+
+std::vector<WriteOp> churn_writes(const ServedModel& model) {
+  return writer_sequence(homogeneous_configs(model.space), kWriterRounds,
+                         kObservesPerRefit, stream_seed(20040426, 200));
 }
 
 std::vector<double> simulate(
@@ -291,20 +295,20 @@ std::vector<double> simulate(
   return wall;
 }
 
-std::vector<double> writer_measurements(const std::vector<WriteOp>& ops) {
+std::vector<double> writer_measurements(const cluster::ClusterSpec& spec,
+                                        const std::vector<WriteOp>& ops) {
+  std::map<std::string, std::size_t> cell_of;
   std::vector<std::pair<cluster::Config, int>> cells;
-  for (const auto& config : writer_configs())
-    for (const int n : writer_sizes()) cells.emplace_back(config, n);
-  const std::vector<double> wall =
-      simulate(cluster::paper_cluster(cluster::mpich_122()), kProductionSalt,
-               cells);
-  std::map<std::string, double> by_cell;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    by_cell[search::estimate_key(cells[i].first, cells[i].second)] = wall[i];
+  for (const auto& op : ops)
+    if (!op.refit &&
+        cell_of.emplace(search::estimate_key(op.config, op.n), cells.size())
+            .second)
+      cells.emplace_back(op.config, op.n);
+  const std::vector<double> wall = simulate(spec, kProductionSalt, cells);
   std::vector<double> measured;
   for (const auto& op : ops)
-    measured.push_back(op.refit ? 0.0
-                                : by_cell[search::estimate_key(op.config, op.n)]);
+    measured.push_back(
+        op.refit ? 0.0 : wall[cell_of.at(search::estimate_key(op.config, op.n))]);
   return measured;
 }
 

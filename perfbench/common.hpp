@@ -44,6 +44,10 @@ ServedModel served_model(Workload w);
 std::shared_ptr<const server::ModelSnapshot> build_snapshot(
     const ServedModel& model);
 
+/// Server pool width (server::ServiceOptions::threads), fixed so that
+/// runs on boxes of different sizes serve with the same threads.
+inline constexpr int kServerPoolThreads = 2;
+
 /// The 16 hot problem sizes of the read mix: 400, 800, ..., 6400.
 std::vector<int> hot_sizes();
 
@@ -106,7 +110,7 @@ struct ColdAdvise {
 };
 ColdAdvise next_cold_advise(Rng& rng, const core::ConfigSpace& space);
 
-// --- refit-churn's writer --------------------------------------------------
+// --- writes: observes of homogeneous runs, rounds closed by refits -------
 
 /// One writer op: an observe of (config, n) or, when `refit`, a refit.
 struct WriteOp {
@@ -116,20 +120,29 @@ struct WriteOp {
 };
 inline constexpr int kWriterRounds = 16;
 inline constexpr int kObservesPerRefit = 256;
-/// kWriterRounds rounds of kObservesPerRefit observes, each round closed
-/// by a refit: homogeneous runs (Athlon 1xM, Pentium-II kx1) at sizes
-/// 2000-8000. The sequence is the same for every run seed: the refined
-/// model, and with it refit-churn's estimate_err and selection_err,
-/// swings by a factor of three between writer sequences, so a seeded
-/// sequence would bury any change to the refit under seed-to-seed
-/// spread. The run seed varies the reads.
-std::vector<WriteOp> writer_sequence();
-/// The homogeneous configurations and sizes the writer draws from.
-std::vector<cluster::Config> writer_configs();
+/// The space's homogeneous configurations (a single kind), in the
+/// space's order: the runs a writer reports.
+std::vector<cluster::Config> homogeneous_configs(const core::ConfigSpace& space);
+/// The problem sizes a writer reports: 2000-8000.
 std::vector<int> writer_sizes();
+/// `rounds` rounds of `observes` observes, each of a (configuration, size)
+/// drawn with `seed` from `configs` x writer_sizes(), each round closed
+/// by a refit.
+std::vector<WriteOp> writer_sequence(const std::vector<cluster::Config>& configs,
+                                     int rounds, int observes,
+                                     std::uint64_t seed);
+/// refit-churn's writer: kWriterRounds rounds of kObservesPerRefit
+/// observes of the paper space's homogeneous runs (Athlon 1xM,
+/// Pentium-II kx1). The sequence is the same for every run seed: the
+/// refined model, and with it refit-churn's estimate_err and
+/// selection_err, swings by a factor of three between writer sequences,
+/// so a seeded sequence would bury any change to the refit under
+/// seed-to-seed spread. The run seed varies the reads.
+std::vector<WriteOp> churn_writes(const ServedModel& model);
 /// Measured wall time the writer reports for each op of `ops` (0 for
-/// refits): the simulator's, in a campaign of its own.
-std::vector<double> writer_measurements(const std::vector<WriteOp>& ops);
+/// refits): the simulator's on `spec`, in a campaign of its own.
+std::vector<double> writer_measurements(const cluster::ClusterSpec& spec,
+                                        const std::vector<WriteOp>& ops);
 
 /// Simulator wall times for (config, n) pairs on `spec`, measured by
 /// measure::Runner with noise salt `salt` over two worker threads.

@@ -1,13 +1,13 @@
 // perfbench_host — serves the large-cold workload's four-kind cluster.
 //
-//   perfbench_host --socket=PATH [--threads=K]
+//   perfbench_host --socket=PATH
 //
 // hetsched_advisord only serves the paper cluster, so this host makes
 // the daemon's own calls on the four-kind cluster: fit the plan, build
 // the snapshot (build_snapshot), start a server::Server on a Unix socket,
-// print a ready line, then serve until SIGTERM or SIGINT.
+// print a ready line, then serve until SIGTERM or SIGINT. The pool is
+// kServerPoolThreads wide, as the daemon runs for the other workloads.
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -19,15 +19,12 @@ using namespace perfbench;
 
 int main(int argc, char** argv) {
   std::string socket_path;
-  std::size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--socket=", 0) == 0) {
       socket_path = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<std::size_t>(std::atoi(arg.c_str() + 10));
     } else {
-      std::cerr << "usage: perfbench_host --socket=PATH [--threads=K]\n";
+      std::cerr << "usage: perfbench_host --socket=PATH\n";
       return 2;
     }
   }
@@ -44,7 +41,7 @@ int main(int argc, char** argv) {
 
   try {
     server::ServiceOptions sopts;
-    sopts.threads = threads;
+    sopts.threads = kServerPoolThreads;
     server::Service service(build_snapshot(served_model(Workload::kLargeCold)),
                             sopts);
     server::ServerOptions net;

@@ -57,19 +57,32 @@ double secs(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-/// Server pool width, fixed so that runs on boxes of different sizes
-/// serve with the same threads.
-constexpr int kServerPoolThreads = 2;
 /// Sidecar scrape (health + metrics) every this many paper-hot requests.
 constexpr std::uint64_t kScrapeEvery = 4096;
 constexpr std::size_t kBurst = 16;
 /// Slices the window is cut into for its statistics: as many as
 /// refit-churn's writer has rounds, so that each slice holds one round.
 constexpr int kSlices = kWriterRounds;
+/// The closed loops run this long before the timed window opens: for
+/// about the first second the loops run a quarter slower and their p99
+/// is twice the later one's, on a server that has already answered every
+/// read of the mix once.
+constexpr double kWarmup_s = 2.0;
+/// The write probe of the read-only workloads: rounds of observes, each
+/// closed by a refit, one round every kProbeRound_s seconds. Observe
+/// latency holds steady within a round but its median moves by up to a
+/// factor of two from round to round, so the probe runs many short
+/// rounds.
+constexpr int kProbeRounds = 32;
+constexpr int kProbeObserves = 16;
+constexpr double kProbeRound_s = 0.125;
 /// A window is measured again when more than this share of the
-/// machine's CPU time was stolen during it, at most kMaxWindows times.
-constexpr double kQuietSteal = 0.02;
+/// machine's CPU time was stolen during it, at most kMaxWindows times:
+/// a host busy enough to steal about 1 % slows the advisor by a fifth.
+constexpr double kCalmWindowSteal = 0.005;
 constexpr int kMaxWindows = 2;
+/// A slice of the window counts when at most this share was stolen.
+constexpr double kQuietSliceSteal = 0.02;
 /// Noise salt of the simulator runs that serve as ground truth: a
 /// campaign independent of the one the served models were fitted on.
 constexpr std::uint64_t kTruthSalt = 7;
@@ -243,9 +256,8 @@ double steal_share(const std::pair<double, double>& from,
 
 std::vector<std::string> server_argv(const Args& args,
                                      const std::string& socket) {
-  const std::string threads = "--threads=" + std::to_string(kServerPoolThreads);
   if (args.workload == Workload::kLargeCold)
-    return {args.bin_dir + "/perfbench_host", "--socket=" + socket, threads};
+    return {args.bin_dir + "/perfbench_host", "--socket=" + socket};
   std::string prewarm = "--prewarm=";
   for (const int n : hot_sizes()) {
     if (prewarm.back() != '=') prewarm += ',';
@@ -253,7 +265,7 @@ std::vector<std::string> server_argv(const Args& args,
   }
   return {args.bin_dir + "/hetsched_advisord", "--socket=" + socket,
           args.workload == Workload::kPaperHot ? "--plan=basic" : "--plan=ns",
-          threads, prewarm};
+          "--threads=" + std::to_string(kServerPoolThreads), prewarm};
 }
 
 // --- responses --------------------------------------------------------------
@@ -393,13 +405,19 @@ Bins op_bins(const json::Value& metrics, const char* op) {
 
 // --- the socket run ------------------------------------------------------------
 
+/// What a writer measured: each observe's round trip and completion
+/// offset, and each refit's round trip.
+struct WriterTimes {
+  std::vector<double> observes, observe_done, refits;
+};
+
 /// The measurements of one timed window.
 struct Window {
   double window_s = 0;
   std::uint64_t answered = 0;
   std::vector<double> reads;      ///< read round trips
   std::vector<double> read_done;  ///< completion offset of each read
-  std::vector<double> observes, observe_done, refits;
+  WriterTimes writes;
   double steal = 0;                 ///< share of the machine's CPU stolen
   double slice_s = 0;               ///< width of the kSlices slices
   std::vector<double> slice_steal;  ///< the same, per slice
@@ -407,20 +425,18 @@ struct Window {
   Metrics wire;  ///< per-layer metrics from the server's own ops
 };
 
-/// The quietest 1/`part` of a window's kSlices slices by steal time.
-std::vector<bool> quiet_slices(const Window& win, std::size_t part = 4) {
+/// The window's quiet slices: a slice in which more than
+/// kQuietSliceSteal of the machine's CPU time was stolen measures the
+/// hypervisor, so only the others count, or the quieter half by steal
+/// when fewer than half of them are that quiet.
+std::vector<bool> quiet_slices(const Window& win) {
+  if (win.slice_steal.empty()) return {true};
   std::vector<double> sorted = win.slice_steal;
   std::sort(sorted.begin(), sorted.end());
-  const std::size_t keep =
-      std::max<std::size_t>(1, (sorted.size() + part - 1) / part);
+  const double cutoff =
+      std::max(kQuietSliceSteal, sorted[(sorted.size() - 1) / 2]);
   std::vector<bool> quiet;
-  std::size_t kept = 0;
-  for (const double s : win.slice_steal) {
-    const bool q = kept < keep && s <= sorted[keep - 1];
-    kept += q ? 1 : 0;
-    quiet.push_back(q);
-  }
-  if (quiet.empty()) quiet.push_back(true);
+  for (const double s : win.slice_steal) quiet.push_back(s <= cutoff);
   return quiet;
 }
 
@@ -434,10 +450,35 @@ std::size_t slice_of(const Window& win, const std::vector<bool>& quiet,
 /// them when none did).
 std::vector<double> quiet_observes(const Window& win) {
   const std::vector<bool> quiet = quiet_slices(win);
+  const WriterTimes& w = win.writes;
   std::vector<double> out;
-  for (std::size_t i = 0; i < win.observes.size(); ++i)
-    if (quiet[slice_of(win, quiet, win.observe_done[i])]) out.push_back(win.observes[i]);
-  return out.empty() ? win.observes : out;
+  for (std::size_t i = 0; i < w.observes.size(); ++i)
+    if (quiet[slice_of(win, quiet, w.observe_done[i])]) out.push_back(w.observes[i]);
+  return out.empty() ? w.observes : out;
+}
+
+/// Samples the machine's steal time and the server's CPU time at each
+/// of `slices` boundaries `win.slice_s` apart from `start`: the steal
+/// share and server CPU seconds of every slice, and the whole span's
+/// steal share.
+void sample_slices(const ServerProcess& srv, Clock::time_point start,
+                   int slices, Window& win) {
+  std::this_thread::sleep_until(start);
+  std::pair<double, double> steal = machine_steal();
+  const auto first = steal;
+  double cpu = srv.cpu_s();
+  for (int k = 1; k <= slices; ++k) {
+    std::this_thread::sleep_until(
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(k * win.slice_s)));
+    const auto next_steal = machine_steal();
+    const double next_cpu = srv.cpu_s();
+    win.slice_steal.push_back(steal_share(steal, next_steal));
+    win.slice_cpu_s.push_back(next_cpu - cpu);
+    steal = next_steal;
+    cpu = next_cpu;
+  }
+  win.steal = steal_share(first, steal);
 }
 
 struct SocketRun {
@@ -575,51 +616,85 @@ void score_accuracy(Workload w, Conn& c, const ServedModel& model,
   run.selection_err = sel / static_cast<double>(selection_probes.size());
 }
 
-/// Writes after the load for the workloads whose mix has none, so that
-/// observe and refit latency are measured on every workload: eight
-/// rounds of 64 observes of homogeneous runs, each closed by a refit,
-/// while the other connection keeps sending cheap estimates. The
-/// measured times scatter +-5 % around the served model's own
-/// prediction. Rounds start 250 ms apart; observe latency counts the
-/// rounds of the quieter half of those intervals (machine steal time),
-/// refit latency every round, since a refit's work grows with the
-/// rounds before it.
-void write_probe(const ServedModel& model, const core::Estimator& est,
-                 std::uint64_t seed, Conn& c, SocketRun& run) {
-  std::vector<cluster::Config> homogeneous;
-  for (const auto& config : model.space.all())
-    if (config.usage.size() == 1) homogeneous.push_back(config);
-  const std::vector<int> sizes = writer_sizes();
-  Rng rng(stream_seed(seed, 3));
-  constexpr int kRounds = 8;
-  std::vector<std::vector<double>> observes(kRounds);
-  std::vector<double> steal;
-  const auto begin = Clock::now();
-  auto mark = machine_steal();
-  for (int round = 0; round < kRounds; ++round) {
-    for (int i = 0; i < 64; ++i) {
-      const cluster::Config& config =
-          homogeneous[rng.uniform_index(homogeneous.size())];
-      const int n = sizes[rng.uniform_index(sizes.size())];
-      const double measured =
-          est.estimate(config, n) * (0.95 + 0.1 * rng.uniform());
+/// Sends `ops` on `c` round by round, each round ended by its refit,
+/// round r starting `round_s` * r after `start`, and records each op's
+/// round trip. The pacing spreads the writes over a span; the writes and
+/// their order, and hence the final model, are the same on every run.
+void paced_writer(Conn& c, const std::vector<WriteOp>& ops,
+                  const std::vector<double>& measured, Clock::time_point start,
+                  double round_s, Ledger& ledger, WriterTimes& out) {
+  std::size_t op = 0;
+  for (int round = 0; op < ops.size(); ++round) {
+    std::this_thread::sleep_until(
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(round_s * round)));
+    for (; op < ops.size(); ++op) {
+      const WriteOp& w = ops[op];
       const auto t0 = Clock::now();
-      call_ok(c, "observe", observe_body(config, n, measured), run.ledger);
-      observes[round].push_back(secs(Clock::now() - t0));
+      call_ok(c, w.refit ? "refit" : "observe",
+              w.refit ? op_body("refit")
+                      : observe_body(w.config, w.n, measured[op]),
+              ledger);
+      const auto t1 = Clock::now();
+      if (w.refit) {
+        out.refits.push_back(secs(t1 - t0));
+        ++op;
+        break;
+      }
+      out.observes.push_back(secs(t1 - t0));
+      out.observe_done.push_back(secs(t1 - start));
     }
-    const auto t0 = Clock::now();
-    call_ok(c, "refit", op_body("refit"), run.ledger);
-    run.refits.push_back(secs(Clock::now() - t0));
-    std::this_thread::sleep_until(begin + (round + 1) * std::chrono::milliseconds(250));
-    const auto next = machine_steal();
-    steal.push_back(steal_share(mark, next));
-    mark = next;
   }
-  const double cutoff = median(steal);
-  for (int round = 0; round < kRounds; ++round)
-    if (steal[round] <= cutoff)
-      run.observes.insert(run.observes.end(), observes[round].begin(),
-                          observes[round].end());
+}
+
+/// Writes after the load for the workloads whose mix has none, so that
+/// observe and refit latency are measured on every workload: the paced
+/// writer with kProbeRounds rounds of kProbeObserves observes of the
+/// space's homogeneous runs at the simulator's times, drawn with the run
+/// seed, while the other connection keeps sending cheap estimates. Each
+/// round is one slice of the returned window.
+Window write_probe(const ServerProcess& srv, const ServedModel& model,
+                   std::uint64_t seed, Conn& c, Conn& other, Ledger& ledger) {
+  const std::vector<WriteOp> ops =
+      writer_sequence(homogeneous_configs(model.space), kProbeRounds,
+                      kProbeObserves, stream_seed(seed, 3));
+  const std::vector<double> measured = writer_measurements(model.spec, ops);
+  std::atomic<bool> writing{true};
+  Ledger background;
+  std::thread reader([&] {
+    guarded(background, [&] {
+      // A fixed set of 64 estimates, so that the answer cache (and with
+      // it peak_rss_mb) does not grow with this reader's pace, sent
+      // 100 us apart, so that the reader keeps the server awake without
+      // taking the CPUs the writes need.
+      Rng rng(stream_seed(seed, 5));
+      std::vector<std::string> bodies;
+      for (int i = 0; i < 64; ++i)
+        bodies.push_back(estimate_body(
+            model.space.config_at(rng.uniform_index(model.space.size())),
+            1600 + static_cast<int>(rng.uniform_index(14401))));
+      while (writing.load()) {
+        call_ok(other, "estimate", bodies[rng.uniform_index(bodies.size())],
+                background);
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  });
+  Window probe;
+  probe.slice_s = kProbeRound_s;
+  const auto start = Clock::now();
+  std::thread writer([&] {
+    guarded(ledger, [&] {
+      paced_writer(c, ops, measured, start, kProbeRound_s, ledger,
+                   probe.writes);
+    });
+  });
+  sample_slices(srv, start, kProbeRounds, probe);
+  writer.join();
+  writing = false;
+  reader.join();
+  ledger.merge(background);
+  return probe;
 }
 
 /// Large-cold answers: every returned configuration satisfies the
@@ -679,10 +754,12 @@ void check_cold(const std::vector<std::pair<ColdAdvise, std::string>>& answers,
 
 /// Refit-churn: an in-process Service on the same model, fed the
 /// writer's exact sequence, must end on the daemon's model fingerprint.
+/// `measured` is taken by value: --corrupt perturbs one of its values,
+/// so the replay must end on another model.
 bool replay_writer(const ServedModel& model, const std::vector<WriteOp>& ops,
-                   const std::vector<double>& measured,
-                   const std::string& initial_fp, const std::string& final_fp,
-                   bool corrupt) {
+                   std::vector<double> measured, const std::string& initial_fp,
+                   const std::string& final_fp, bool corrupt) {
+  if (corrupt) measured.front() *= 1.5;
   server::Service service(build_snapshot(model));
   const auto fingerprint = [&] {
     const auto doc = parse(service.handle_payload(with_id(0, op_body("stats"))));
@@ -696,7 +773,7 @@ bool replay_writer(const ServedModel& model, const std::vector<WriteOp>& ops,
         i + 1, ops[i].refit ? op_body("refit")
                             : observe_body(ops[i].config, ops[i].n,
                                            measured[i])));
-  return fingerprint() == final_fp && !corrupt;
+  return fingerprint() == final_fp;
 }
 
 std::string model_fingerprint(Conn& c, Ledger& ledger) {
@@ -715,13 +792,13 @@ SocketRun run_socket(const Args& args) {
   std::vector<WriteOp> writes;
   std::vector<double> write_measured;
   if (w == Workload::kRefitChurn) {
-    writes = writer_sequence();
-    write_measured = writer_measurements(writes);
+    writes = churn_writes(model);
+    write_measured = writer_measurements(model.spec, writes);
   }
 
   // Set-up samples: the server is started and stopped a few times; every
   // window below starts one more, which serves it.
-  const int extra_setups = w == Workload::kPaperHot ? 2 : 4;
+  const int extra_setups = w == Workload::kPaperHot ? 4 : 8;
   for (int i = 0; i < extra_setups; ++i)
     run.setups.push_back(ServerProcess(server_argv(args, socket), log).setup_s());
 
@@ -778,11 +855,10 @@ SocketRun run_socket(const Args& args) {
             a, c1.call(advise_body(a.n, a.top, a.exclude, a.max_total_procs)));
       }
     }
-    const auto before = call_ok(c1, "metrics", op_body("metrics"), run.ledger);
-
     struct Lane {
       Ledger ledger;
-      std::vector<double> reads, read_done, observes, observe_done, refits;
+      std::vector<double> reads, read_done;
+      WriterTimes writes;
       std::uint64_t answered = 0;
       Clock::time_point end;  ///< when the loop stopped
       std::vector<std::tuple<std::size_t, std::uint64_t, std::string>> suspects;
@@ -794,6 +870,9 @@ SocketRun run_socket(const Args& args) {
     }
     Clock::time_point start, deadline;
     std::latch go(1);
+    // Connection 1 scrapes the server's metrics as the window opens, and
+    // again after it, so that the W metrics cover the window alone.
+    std::optional<json::Value> before;
 
     const auto check_read = [&](Lane& lane, std::size_t idx, std::uint64_t id,
                                 std::string&& resp) {
@@ -809,7 +888,10 @@ SocketRun run_socket(const Args& args) {
         lane.suspects.emplace_back(idx, id, std::move(resp));
       }
     };
+    // Only requests sent after `start` count; the warm-up's answers are
+    // checked all the same.
     const auto record_read = [&](Lane& lane, Clock::time_point t0) {
+      if (t0 < start) return;
       const auto t1 = Clock::now();
       lane.reads.push_back(secs(t1 - t0));
       lane.read_done.push_back(secs(t1 - start));
@@ -817,16 +899,19 @@ SocketRun run_socket(const Args& args) {
 
     const auto singles = [&](Lane& lane, Conn& c, int stream) {
       Rng rng(stream_seed(args.seed, stream));
+      std::uint64_t sent = 0;
       go.wait();
-      while (Clock::now() < deadline) {
-        if (w == Workload::kPaperHot &&
-            lane.answered % kScrapeEvery == kScrapeEvery - 1) {
+      for (auto now = Clock::now(); now < deadline; now = Clock::now()) {
+        const std::uint64_t timed = now >= start ? 1 : 0;
+        if (timed && &c == &c1 && !before)
+          before = call_ok(c, "metrics", op_body("metrics"), lane.ledger);
+        if (w == Workload::kPaperHot && ++sent % kScrapeEvery == 0) {
           call_ok(c, "health", op_body("health"), lane.ledger);
           call_ok(c, "metrics", op_body("metrics"), lane.ledger);
-          lane.answered += 2;
+          lane.answered += 2 * timed;
           continue;
         }
-        ++lane.answered;
+        lane.answered += timed;
         if (w == Workload::kLargeCold) {
           const ColdAdvise a = next_cold_advise(rng, model.space);
           const auto t0 = Clock::now();
@@ -865,45 +950,20 @@ SocketRun run_socket(const Args& args) {
           record_read(lane, t0);
           check_read(lane, idx[i], ids[i], std::move(resp));
         }
-        lane.answered += kBurst;
+        if (t0 >= start) lane.answered += kBurst;
       }
     };
 
     const auto writer = [&](Lane& lane, Conn& c) {
       go.wait();
-      std::size_t op = 0;
-      for (int round = 0; round < kWriterRounds; ++round) {
-        // Rounds are spread evenly over the window, so the writer's whole
-        // sequence (and hence the final model) is the same on every run.
-        std::this_thread::sleep_until(
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(args.seconds * round /
-                                                      kWriterRounds)));
-        for (; op < writes.size(); ++op) {
-          const WriteOp& wop = writes[op];
-          const auto t0 = Clock::now();
-          call_ok(c, wop.refit ? "refit" : "observe",
-                  wop.refit ? op_body("refit")
-                            : observe_body(wop.config, wop.n, write_measured[op]),
-                  lane.ledger);
-          const auto t1 = Clock::now();
-          if (wop.refit) {
-            lane.refits.push_back(secs(t1 - t0));
-          } else {
-            lane.observes.push_back(secs(t1 - t0));
-            lane.observe_done.push_back(secs(t1 - start));
-          }
-          ++lane.answered;
-          if (wop.refit) {
-            ++op;
-            break;
-          }
-        }
-      }
+      std::this_thread::sleep_until(start);
+      before = call_ok(c, "metrics", op_body("metrics"), lane.ledger);
+      // Rounds are spread evenly over the window.
+      paced_writer(c, writes, write_measured, start,
+                   args.seconds / kWriterRounds, lane.ledger, lane.writes);
+      lane.answered = lane.writes.observes.size() + lane.writes.refits.size();
     };
 
-    std::vector<std::pair<double, double>> steal_marks{machine_steal()};
-    std::vector<double> cpu_marks{srv.cpu_s()};
     std::thread t1([&] {
       guarded(lanes[0].ledger, [&] {
         if (w == Workload::kRefitChurn)
@@ -922,43 +982,26 @@ SocketRun run_socket(const Args& args) {
       });
       lanes[1].end = Clock::now();
     });
-    start = Clock::now();
+    start = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(kWarmup_s));
     deadline = start + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(args.seconds));
     go.count_down();
-    // Sample the machine's steal time and the server's CPU time at
-    // every slice boundary of the window.
     win.slice_s = args.seconds / kSlices;
-    for (int k = 1; k <= kSlices; ++k) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(k * win.slice_s)));
-      steal_marks.push_back(machine_steal());
-      cpu_marks.push_back(srv.cpu_s());
-    }
+    sample_slices(srv, start, kSlices, win);
     t1.join();
     t2.join();
-    steal_marks.push_back(machine_steal());
-    for (std::size_t k = 1; k < cpu_marks.size(); ++k) {
-      win.slice_steal.push_back(steal_share(steal_marks[k - 1], steal_marks[k]));
-      win.slice_cpu_s.push_back(cpu_marks[k] - cpu_marks[k - 1]);
-    }
-    win.steal = steal_share(steal_marks.front(), steal_marks.back());
     win.window_s = secs(std::max(lanes[0].end, lanes[1].end) - start);
     for (Lane& lane : lanes) {
       run.ledger.merge(lane.ledger);
       win.reads.insert(win.reads.end(), lane.reads.begin(), lane.reads.end());
       win.read_done.insert(win.read_done.end(), lane.read_done.begin(),
                            lane.read_done.end());
-      win.observes.insert(win.observes.end(), lane.observes.begin(),
-                          lane.observes.end());
-      win.observe_done.insert(win.observe_done.end(), lane.observe_done.begin(),
-                              lane.observe_done.end());
-      win.refits.insert(win.refits.end(), lane.refits.begin(), lane.refits.end());
       win.answered += lane.answered;
       for (auto& sus : lane.suspects) suspects.push_back(std::move(sus));
       for (auto& a : lane.cold) cold_answers.push_back(std::move(a));
     }
+    win.writes = std::move(lanes[0].writes);
 
     // The server's own view of the window.
     const auto after = call_ok(c1, "metrics", op_body("metrics"), run.ledger);
@@ -1003,8 +1046,8 @@ SocketRun run_socket(const Args& args) {
   };
 
   // A host that steals CPU time from this machine in bursts slows every
-  // metric, so a window during which more than kQuietSteal of the CPU
-  // time was stolen is measured again on a fresh server, up to
+  // metric, so a window during which more than kCalmWindowSteal of the
+  // CPU time was stolen is measured again on a fresh server, up to
   // kMaxWindows times; the quietest window counts.
   std::unique_ptr<ServerProcess> srv;
   std::unique_ptr<Conn> c1, c2;
@@ -1026,39 +1069,18 @@ SocketRun run_socket(const Args& args) {
     Window win = measure_window(*srv, *c1, *c2);
     ++run.windows;
     if (attempt == 0 || win.steal < run.window.steal) run.window = std::move(win);
-    if (run.window.steal <= kQuietSteal) break;
+    if (run.window.steal <= kCalmWindowSteal) break;
   }
-  run.observes = quiet_observes(run.window);
-  run.refits = run.window.refits;
-
   score_accuracy(w, *c1, model, run);
-  if (w != Workload::kRefitChurn) {
-    std::atomic<bool> writing{true};
-    Ledger background;
-    std::thread reader([&] {
-      guarded(background, [&] {
-        // A fixed set of 64 estimates, so that the answer cache (and
-        // with it peak_rss_mb) does not grow with this reader's pace, sent
-        // 100 us apart, so that the reader keeps the server awake without
-        // taking the CPUs the writes need.
-        Rng rng(stream_seed(args.seed, 5));
-        std::vector<std::string> bodies;
-        for (int i = 0; i < 64; ++i)
-          bodies.push_back(estimate_body(
-              model.space.config_at(rng.uniform_index(model.space.size())),
-              1600 + static_cast<int>(rng.uniform_index(14401))));
-        while (writing.load()) {
-          call_ok(*c2, "estimate", bodies[rng.uniform_index(bodies.size())],
-                  background);
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      });
-    });
-    write_probe(model, est, args.seed, *c1, run);
-    writing = false;
-    reader.join();
-    run.ledger.merge(background);
-  }
+  const Window probe = w == Workload::kRefitChurn
+                           ? Window{}
+                           : write_probe(*srv, model, args.seed, *c1, *c2,
+                                         run.ledger);
+  // Observe latency counts the writes of the quiet slices, refit latency
+  // every refit, since a refit's work grows with the rounds before it.
+  const Window& written = w == Workload::kRefitChurn ? run.window : probe;
+  run.observes = quiet_observes(written);
+  run.refits = written.writes.refits;
   const std::string final_fp = model_fingerprint(*c1, run.ledger);
   run.rss_mb = srv->peak_rss_mb();
   c1.reset();
@@ -1092,17 +1114,14 @@ struct WindowStats {
   std::size_t quiet = 0;     ///< slices the rate statistics come from
   double quiet_steal = 0;    ///< their mean steal share
   std::size_t samples = 0;   ///< reads behind p50 and p99
-  bool quiet_reads = false;  ///< whether those are the quiet slices' only
 };
 
 /// Statistics of the window. The host this runs on steals CPU time from
 /// the machine in bursts, and a stolen slice measures the hypervisor
-/// rather than the advisor, so the rates come from the quietest quarter
-/// of the slices: throughput is their requests (reads, scaled by all
-/// answered requests per read) over their time, CPU per request the
-/// server's CPU in them over those requests. p50 and p99 are taken over
-/// the reads of those slices when they number at least 1000 (ten beyond
-/// p99), else over the reads of the quieter half of the slices.
+/// rather than the advisor, so the statistics come from the quiet
+/// slices: throughput is their requests (reads, scaled by all answered
+/// requests per read) over their time, CPU per request the server's CPU
+/// in them over those requests, p50 and p99 those of their reads.
 WindowStats window_stats(const Window& win) {
   WindowStats ws;
   const std::vector<bool> quiet = quiet_slices(win);
@@ -1110,13 +1129,9 @@ WindowStats window_stats(const Window& win) {
                               ? 0.0
                               : static_cast<double>(win.answered) /
                                     static_cast<double>(win.reads.size());
-  const auto reads_in = [&](const std::vector<bool>& slices) {
-    std::vector<double> out;
-    for (std::size_t i = 0; i < win.reads.size(); ++i)
-      if (slices[slice_of(win, slices, win.read_done[i])]) out.push_back(win.reads[i]);
-    return out;
-  };
-  std::vector<double> reads = reads_in(quiet);
+  std::vector<double> reads;
+  for (std::size_t i = 0; i < win.reads.size(); ++i)
+    if (quiet[slice_of(win, quiet, win.read_done[i])]) reads.push_back(win.reads[i]);
   double cpu = 0;
   for (std::size_t k = 0; k < quiet.size(); ++k) {
     if (!quiet[k]) continue;
@@ -1128,8 +1143,6 @@ WindowStats window_stats(const Window& win) {
   const double requests = static_cast<double>(reads.size()) * per_read;
   ws.throughput = requests / (static_cast<double>(ws.quiet) * win.slice_s);
   ws.cpu_us_per_req = requests > 0 ? cpu * 1e6 / requests : 0.0;
-  ws.quiet_reads = reads.size() >= 1000;
-  if (!ws.quiet_reads) reads = reads_in(quiet_slices(win, 2));
   ws.samples = reads.size();
   ws.p50 = quantile(reads, 0.5);
   ws.p99 = quantile(reads, 0.99);
@@ -1207,16 +1220,17 @@ int main(int argc, char** argv) {
     std::cout << run.windows << " window(s) measured; the quietest: "
               << win.window_s << " s, " << win.answered << " answered, "
               << win.reads.size() << " reads; steal " << 100 * win.steal
-              << "% of the machine's CPU time; rates from its " << ws.quiet
-              << " quietest " << win.slice_s << " s slices (steal "
+              << "% of the machine's CPU time; statistics from its " << ws.quiet
+              << " quiet " << win.slice_s << " s slices (steal "
               << 100 * ws.quiet_steal << "%); p50 and p99 over "
-              << ws.samples << (ws.quiet_reads ? " reads of those slices ("
-                                               : " reads of the quieter half (")
+              << ws.samples << " reads of those slices ("
               << ws.samples - static_cast<std::size_t>(std::ceil(
                                   0.99 * static_cast<double>(ws.samples)))
               << " beyond p99); " << run.observes.size() << " observes, "
               << run.refits.size() << " refits, " << run.setups.size()
-              << " set-ups\n";
+              << " set-ups (s):";
+    for (const double s : run.setups) std::cout << " " << s;
+    std::cout << "\n";
 
     Metrics metrics;
     if (args.trace == 0) {

@@ -101,7 +101,7 @@ def provenance(args):
         "build_type": cache_value("CMAKE_BUILD_TYPE"),
         "hetsched_obs": cache_value("HETSCHED_OBS"),
         "commit": commit(), "source_sha256": source_digest(),
-        # Fixed in perfbench_load: pool width 2 (--threads=2), plus one
+        # Pool width kServerPoolThreads (perfbench/common.hpp), plus one
         # accept thread and one thread per client connection (2).
         "server_threads": {"pool": 2, "accept": 1, "connections": 2},
     }

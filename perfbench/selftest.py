@@ -5,12 +5,14 @@
 
 Run from the repository root. It checks, in this order:
 
-1. Short mode: each workload runs for one second with --trace 0 and
-   --trace 1; every metric BENCHMARK.json names for that mode must be
-   printed, with its unit, and `correct` must agree with `failed`.
-2. The checker can fail: each workload runs with --corrupt, which
-   perturbs one expected answer; the run must count a failed operation
-   and report correct=false.
+1. Short mode: each workload (those in BENCHMARK.json and large-cold)
+   runs for one second with --trace 0 and --trace 1; every metric
+   BENCHMARK.json names for that mode must be printed, with its unit,
+   and `correct` must agree with `failed`.
+2. The checkers can fail: each workload runs with --corrupt, which
+   perturbs one expected answer and, on refit-churn, one measured time
+   of the in-process writer replay; the run must count a failed
+   operation in each of those checks and report correct=false.
 3. Without the repository's sources (a directory holding only
    BENCHMARK.json and perfbench/), run.py must exit non-zero and print
    no result.
@@ -27,6 +29,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SPEC = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
 RUN = [sys.executable, os.path.join("perfbench", "run.py")]
+# The ops whose check each --corrupt run must fail.
+CORRUPT_TRIPS = {
+    "paper-hot": ["estimate"],
+    "large-cold": ["advise"],
+    "refit-churn": ["estimate", "refit.final_fingerprint"],
+}
 
 
 def run(cwd, workload, trace, extra=(), seconds=1, seed=1, timeout=300):
@@ -41,6 +49,15 @@ def result_of(proc):
     return json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
 
 
+def failed_ops(proc):
+    """Ops of the per-op lines ("op X: attempted A, failed F") with F > 0."""
+    out = set()
+    for line in proc.stdout.split("\n"):
+        if line.startswith("op ") and not line.endswith(", failed 0"):
+            out.add(line[3:line.index(":")])
+    return out
+
+
 def main():
     failures = []
 
@@ -49,7 +66,9 @@ def main():
         if not ok:
             failures.append(what)
 
-    names = [w["name"] for w in SPEC["workloads"]]
+    # The workloads BENCHMARK.json gates, plus large-cold, which run.py
+    # runs but BENCHMARK.json leaves out (see README.md).
+    names = [w["name"] for w in SPEC["workloads"]] + ["large-cold"]
     for workload in names:
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             proc = run(ROOT, workload, trace)
@@ -83,6 +102,9 @@ def main():
         check(result is not None and result["failed"] >= 1 and
               not result["correct"],
               "%s --corrupt counts the perturbed answer as failed" % workload)
+        for op in CORRUPT_TRIPS[workload]:
+            check(op in failed_ops(proc),
+                  "%s --corrupt fails the %s check" % (workload, op))
 
     bare = os.path.join(ROOT, ".bench_build", "selftest-bare")
     shutil.rmtree(bare, ignore_errors=True)

@@ -118,7 +118,7 @@ struct WriteOp {
   cluster::Config config;
   int n = 0;
 };
-inline constexpr int kWriterRounds = 16;
+inline constexpr int kWriterRounds = 32;
 inline constexpr int kObservesPerRefit = 256;
 /// The space's homogeneous configurations (a single kind), in the
 /// space's order: the runs a writer reports.

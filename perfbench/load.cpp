@@ -60,9 +60,9 @@ double secs(Clock::duration d) {
 /// Sidecar scrape (health + metrics) every this many paper-hot requests.
 constexpr std::uint64_t kScrapeEvery = 4096;
 constexpr std::size_t kBurst = 16;
-/// Slices the window is cut into for its statistics: as many as
-/// refit-churn's writer has rounds, so that each slice holds one round.
-constexpr int kSlices = kWriterRounds;
+/// Slices the window is cut into for its statistics: refit-churn's
+/// writer rounds take two each.
+constexpr int kSlices = kWriterRounds / 2;
 /// The closed loops run this long before the timed window opens: for
 /// about the first second the loops run a quarter slower and their p99
 /// is twice the later one's, on a server that has already answered every
@@ -796,11 +796,20 @@ SocketRun run_socket(const Args& args) {
     write_measured = writer_measurements(model.spec, writes);
   }
 
-  // Set-up samples: the server is started and stopped a few times; every
-  // window below starts one more, which serves it.
-  const int extra_setups = w == Workload::kPaperHot ? 4 : 8;
-  for (int i = 0; i < extra_setups; ++i)
-    run.setups.push_back(ServerProcess(server_argv(args, socket), log).setup_s());
+  // Set-up samples: the server is started and stopped extra_setups
+  // times, half now and half after the last server has stopped, so that
+  // they span the run (the guest's speed switches between two levels
+  // about 1.5x apart for seconds at a time); every window below starts
+  // one more, which serves it.
+  const int extra_setups = w == Workload::kPaperHot    ? 4
+                           : w == Workload::kLargeCold ? 8
+                                                       : 16;
+  const auto sample_setups = [&](int count) {
+    for (int i = 0; i < count; ++i)
+      run.setups.push_back(
+          ServerProcess(server_argv(args, socket), log).setup_s());
+  };
+  sample_setups(extra_setups / 2);
 
   // The oracle: the same model fitted in-process, which must be the
   // one the server answers from.
@@ -1086,6 +1095,7 @@ SocketRun run_socket(const Args& args) {
   c1.reset();
   c2.reset();
   srv.reset();
+  sample_setups(extra_setups - extra_setups / 2);
 
   // Checks outside the windows.
   for (auto& [idx, id, resp] : suspects) {

@@ -280,6 +280,11 @@ std::vector<WriteOp> churn_writes(const ServedModel& model) {
                          kObservesPerRefit, stream_seed(20040426, 200));
 }
 
+std::vector<WriteOp> probe_writes(const ServedModel& model, std::uint64_t seed) {
+  return writer_sequence(homogeneous_configs(model.space), kProbeRounds,
+                         kProbeObserves, stream_seed(seed, 3));
+}
+
 std::vector<double> simulate(
     const cluster::ClusterSpec& spec, std::uint64_t salt,
     const std::vector<std::pair<cluster::Config, int>>& runs) {

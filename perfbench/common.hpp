@@ -139,6 +139,14 @@ std::vector<WriteOp> writer_sequence(const std::vector<cluster::Config>& configs
 /// so a seeded sequence would bury any change to the refit under
 /// seed-to-seed spread. The run seed varies the reads.
 std::vector<WriteOp> churn_writes(const ServedModel& model);
+/// The writes of the workloads whose read mix has none (paper-hot,
+/// large-cold): kProbeRounds rounds of kProbeObserves observes of the
+/// space's homogeneous runs, drawn with the run seed. Connection 1
+/// cycles through their observes in the timed window, and the write
+/// probe after the window sends the whole sequence.
+inline constexpr int kProbeRounds = 96;
+inline constexpr int kProbeObserves = 8;
+std::vector<WriteOp> probe_writes(const ServedModel& model, std::uint64_t seed);
 /// Measured wall time the writer reports for each op of `ops` (0 for
 /// refits): the simulator's on `spec`, in a campaign of its own.
 std::vector<double> writer_measurements(const cluster::ClusterSpec& spec,

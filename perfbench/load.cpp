@@ -68,14 +68,11 @@ constexpr int kSlices = kWriterRounds / 2;
 /// is twice the later one's, on a server that has already answered every
 /// read of the mix once.
 constexpr double kWarmup_s = 2.0;
-/// The write probe of the read-only workloads: rounds of observes, each
-/// closed by a refit, one round every kProbeRound_s seconds. Observe
-/// latency holds steady within a round but its median moves by up to a
-/// factor of two from round to round, so the probe runs many short
-/// rounds.
-constexpr int kProbeRounds = 32;
-constexpr int kProbeObserves = 16;
-constexpr double kProbeRound_s = 0.125;
+/// Connection 1 of the read-only workloads sends one observe every this
+/// many requests: observes change no answer, so they run inside the
+/// timed window, under the load the reads see, while refits, which swap
+/// the model, wait for the write probe after it.
+constexpr std::uint64_t kObserveEvery = 64;
 /// A window is measured again when more than this share of the
 /// machine's CPU time was stolen during it, at most kMaxWindows times:
 /// a host busy enough to steal about 1 % slows the advisor by a fifth.
@@ -405,10 +402,10 @@ Bins op_bins(const json::Value& metrics, const char* op) {
 
 // --- the socket run ------------------------------------------------------------
 
-/// What a writer measured: each observe's round trip and completion
-/// offset, and each refit's round trip.
+/// What a writer measured: each observe's and each refit's round trip
+/// and completion offset.
 struct WriterTimes {
-  std::vector<double> observes, observe_done, refits;
+  std::vector<double> observes, observe_done, refits, refit_done;
 };
 
 /// The measurements of one timed window.
@@ -446,15 +443,16 @@ std::size_t slice_of(const Window& win, const std::vector<bool>& quiet,
                   quiet.size() - 1);
 }
 
-/// The writer's observes that completed in the quiet slices (all of
-/// them when none did).
-std::vector<double> quiet_observes(const Window& win) {
+/// The round trips of `times` that completed (at offsets `done`) in the
+/// window's quiet slices (all of them when none did).
+std::vector<double> in_quiet_slices(const Window& win,
+                                    const std::vector<double>& times,
+                                    const std::vector<double>& done) {
   const std::vector<bool> quiet = quiet_slices(win);
-  const WriterTimes& w = win.writes;
   std::vector<double> out;
-  for (std::size_t i = 0; i < w.observes.size(); ++i)
-    if (quiet[slice_of(win, quiet, w.observe_done[i])]) out.push_back(w.observes[i]);
-  return out.empty() ? w.observes : out;
+  for (std::size_t i = 0; i < times.size(); ++i)
+    if (quiet[slice_of(win, quiet, done[i])]) out.push_back(times[i]);
+  return out.empty() ? times : out;
 }
 
 /// Samples the machine's steal time and the server's CPU time at each
@@ -638,6 +636,7 @@ void paced_writer(Conn& c, const std::vector<WriteOp>& ops,
       const auto t1 = Clock::now();
       if (w.refit) {
         out.refits.push_back(secs(t1 - t0));
+        out.refit_done.push_back(secs(t1 - start));
         ++op;
         break;
       }
@@ -647,18 +646,17 @@ void paced_writer(Conn& c, const std::vector<WriteOp>& ops,
   }
 }
 
-/// Writes after the load for the workloads whose mix has none, so that
-/// observe and refit latency are measured on every workload: the paced
-/// writer with kProbeRounds rounds of kProbeObserves observes of the
-/// space's homogeneous runs at the simulator's times, drawn with the run
-/// seed, while the other connection keeps sending cheap estimates. Each
-/// round is one slice of the returned window.
+/// Refits after the load for the workloads whose mix has none, so that
+/// refit latency is measured on every workload: the paced writer sends
+/// `ops` (probe_writes) at the simulator's times `measured`, one round
+/// every `round_s` seconds, while the other connection keeps sending
+/// cheap estimates. The window's observes have filled every class's
+/// refit window, so each refit fits full windows. Each round is one
+/// slice of the returned window.
 Window write_probe(const ServerProcess& srv, const ServedModel& model,
+                   const std::vector<WriteOp>& ops,
+                   const std::vector<double>& measured, double round_s,
                    std::uint64_t seed, Conn& c, Conn& other, Ledger& ledger) {
-  const std::vector<WriteOp> ops =
-      writer_sequence(homogeneous_configs(model.space), kProbeRounds,
-                      kProbeObserves, stream_seed(seed, 3));
-  const std::vector<double> measured = writer_measurements(model.spec, ops);
   std::atomic<bool> writing{true};
   Ledger background;
   std::thread reader([&] {
@@ -681,12 +679,11 @@ Window write_probe(const ServerProcess& srv, const ServedModel& model,
     });
   });
   Window probe;
-  probe.slice_s = kProbeRound_s;
+  probe.slice_s = round_s;
   const auto start = Clock::now();
   std::thread writer([&] {
     guarded(ledger, [&] {
-      paced_writer(c, ops, measured, start, kProbeRound_s, ledger,
-                   probe.writes);
+      paced_writer(c, ops, measured, start, round_s, ledger, probe.writes);
     });
   });
   sample_slices(srv, start, kProbeRounds, probe);
@@ -789,12 +786,11 @@ SocketRun run_socket(const Args& args) {
   const std::string socket = "srv-" + std::to_string(::getpid()) + ".sock";
   const std::string log = std::string("server-") + workload_name(w) + ".log";
 
-  std::vector<WriteOp> writes;
-  std::vector<double> write_measured;
-  if (w == Workload::kRefitChurn) {
-    writes = churn_writes(model);
-    write_measured = writer_measurements(model.spec, writes);
-  }
+  const std::vector<WriteOp> writes = w == Workload::kRefitChurn
+                                          ? churn_writes(model)
+                                          : probe_writes(model, args.seed);
+  const std::vector<double> write_measured =
+      writer_measurements(model.spec, writes);
 
   // Set-up samples: the server is started and stopped extra_setups
   // times, half now and half after the last server has stopped, so that
@@ -835,6 +831,28 @@ SocketRun run_socket(const Args& args) {
     if (args.corrupt)
       expected.back().t = std::nextafter(expected.back().t, 0.0);
   }
+  // The observes connection 1 of a read-only workload sends in the
+  // window, with the start of the result each must get: the oracle's
+  // prediction and provenance, and the measured time sent (under
+  // --corrupt, another time for the first observe, which is sent first).
+  struct WindowObserve {
+    std::string body, expect;
+  };
+  std::vector<WindowObserve> window_observes;
+  if (w != Workload::kRefitChurn)
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      if (writes[i].refit) continue;
+      const auto bd = est.breakdown(writes[i].config, writes[i].n);
+      const double measured = write_measured[i];
+      const double echoed = args.corrupt && window_observes.empty()
+                                ? std::nextafter(measured, 0.0)
+                                : measured;
+      window_observes.push_back(WindowObserve{
+          observe_body(writes[i].config, writes[i].n, measured),
+          "{\"family\":" + server::json_quote(core::to_string(bd.provenance)) +
+              ",\"predicted\":" + server::json_number(bd.total) +
+              ",\"measured\":" + server::json_number(echoed) + ","});
+    }
   std::vector<std::string> verified(templates.size());
   std::vector<std::tuple<std::size_t, std::uint64_t, std::string>> suspects;
   std::vector<std::pair<ColdAdvise, std::string>> cold_answers;
@@ -909,18 +927,39 @@ SocketRun run_socket(const Args& args) {
     const auto singles = [&](Lane& lane, Conn& c, int stream) {
       Rng rng(stream_seed(args.seed, stream));
       std::uint64_t sent = 0;
+      std::size_t observed = 0;
       go.wait();
       for (auto now = Clock::now(); now < deadline; now = Clock::now()) {
         const std::uint64_t timed = now >= start ? 1 : 0;
         if (timed && &c == &c1 && !before)
           before = call_ok(c, "metrics", op_body("metrics"), lane.ledger);
-        if (w == Workload::kPaperHot && ++sent % kScrapeEvery == 0) {
+        ++sent;
+        if (w == Workload::kPaperHot && sent % kScrapeEvery == 0) {
           call_ok(c, "health", op_body("health"), lane.ledger);
           call_ok(c, "metrics", op_body("metrics"), lane.ledger);
           lane.answered += 2 * timed;
           continue;
         }
         lane.answered += timed;
+        if (&c == &c1 && !window_observes.empty() &&
+            sent % kObserveEvery == 0) {
+          const WindowObserve& o =
+              window_observes[observed++ % window_observes.size()];
+          const std::uint64_t id = ++c.next_id;
+          const auto t0 = Clock::now();
+          const std::string resp = c.client.roundtrip(with_id(id, o.body));
+          const auto t1 = Clock::now();
+          if (t0 >= start) {
+            lane.writes.observes.push_back(secs(t1 - t0));
+            lane.writes.observe_done.push_back(secs(t1 - start));
+          }
+          const std::size_t at = ok_envelope(resp, id);
+          lane.ledger.add("observe",
+                          at != std::string::npos &&
+                              resp.compare(at, o.expect.size(), o.expect) == 0,
+                          resp.substr(0, 200));
+          continue;
+        }
         if (w == Workload::kLargeCold) {
           const ColdAdvise a = next_cold_advise(rng, model.space);
           const auto t0 = Clock::now();
@@ -1081,15 +1120,26 @@ SocketRun run_socket(const Args& args) {
     if (run.window.steal <= kCalmWindowSteal) break;
   }
   score_accuracy(w, *c1, model, run);
-  const Window probe = w == Workload::kRefitChurn
-                           ? Window{}
-                           : write_probe(*srv, model, args.seed, *c1, *c2,
-                                         run.ledger);
-  // Observe latency counts the writes of the quiet slices, refit latency
-  // every refit, since a refit's work grows with the rounds before it.
-  const Window& written = w == Workload::kRefitChurn ? run.window : probe;
-  run.observes = quiet_observes(written);
-  run.refits = written.writes.refits;
+  // The probe's rounds are spread over as long as the window, as
+  // refit-churn's writer rounds are.
+  const Window probe =
+      w == Workload::kRefitChurn
+          ? Window{}
+          : write_probe(*srv, model, writes, write_measured,
+                        args.seconds / kProbeRounds, args.seed, *c1, *c2,
+                        run.ledger);
+  // Observe and refit latency count the writes of the quiet slices: the
+  // window's observes (the probe's on a window too short to hold any)
+  // and the refits of refit-churn's window or of the probe.
+  const WriterTimes& in_window = run.window.writes;
+  run.observes = in_window.observes.empty()
+                     ? in_quiet_slices(probe, probe.writes.observes,
+                                       probe.writes.observe_done)
+                     : in_quiet_slices(run.window, in_window.observes,
+                                       in_window.observe_done);
+  const Window& refitted = w == Workload::kRefitChurn ? run.window : probe;
+  run.refits = in_quiet_slices(refitted, refitted.writes.refits,
+                               refitted.writes.refit_done);
   const std::string final_fp = model_fingerprint(*c1, run.ledger);
   run.rss_mb = srv->peak_rss_mb();
   c1.reset();

@@ -10,9 +10,11 @@ Run from the repository root. It checks, in this order:
    BENCHMARK.json names for that mode must be printed, with its unit,
    and `correct` must agree with `failed`.
 2. The checkers can fail: each workload runs with --corrupt, which
-   perturbs one expected answer and, on refit-churn, one measured time
-   of the in-process writer replay; the run must count a failed
-   operation in each of those checks and report correct=false.
+   perturbs one expected answer (on paper-hot and large-cold, also the
+   measured time expected back from the window's first observe) and,
+   on refit-churn, one measured time of the in-process writer replay;
+   the run must count a failed operation in each of those checks and
+   report correct=false.
 3. Without the repository's sources (a directory holding only
    BENCHMARK.json and perfbench/), run.py must exit non-zero and print
    no result.
@@ -31,8 +33,8 @@ SPEC = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
 RUN = [sys.executable, os.path.join("perfbench", "run.py")]
 # The ops whose check each --corrupt run must fail.
 CORRUPT_TRIPS = {
-    "paper-hot": ["estimate"],
-    "large-cold": ["advise"],
+    "paper-hot": ["estimate", "observe"],
+    "large-cold": ["advise", "observe"],
     "refit-churn": ["estimate", "refit.final_fingerprint"],
 }
 

@@ -148,9 +148,10 @@ constexpr std::size_t kBurst = 16;
 
 /// The workload's request sequence, interleaving its two connections
 /// the way a single-threaded replay can: paper-hot sends one burst of
-/// 16 estimates per 16 single reads and a health + metrics scrape every
-/// 4096; large-cold alternates its two streams; refit-churn puts two
-/// reads beside every write.
+/// 16 estimates per 16 single reads, an observe (of the write probe's,
+/// in turn) every 64 and a health + metrics scrape every 4096;
+/// large-cold alternates its two streams; refit-churn puts two reads
+/// beside every write.
 std::vector<Request> replay_sequence(Workload w, std::uint64_t seed,
                                      const ServedModel& model) {
   std::vector<Request> seq;
@@ -181,9 +182,29 @@ std::vector<Request> replay_sequence(Workload w, std::uint64_t seed,
   }
   const ReadMix mix(model.space, seed);
   const auto& templates = mix.templates();
+  const auto write = [](const WriteOp& op, double measured) {
+    Request r;
+    if (op.refit) {
+      r.kind = Request::kRefit;
+      r.body = op_body("refit");
+    } else {
+      r.kind = Request::kObserve;
+      r.n = op.n;
+      r.config = op.config;
+      r.measured = measured;
+      r.body = observe_body(r.config, r.n, r.measured);
+    }
+    return r;
+  };
   if (w == Workload::kPaperHot) {
+    std::vector<Request> observes;
+    const std::vector<WriteOp> probe = probe_writes(model, seed);
+    const std::vector<double> measured = writer_measurements(model.spec, probe);
+    for (std::size_t i = 0; i < probe.size(); ++i)
+      if (!probe[i].refit) observes.push_back(write(probe[i], measured[i]));
     Rng s1(stream_seed(seed, 1)), s2(stream_seed(seed, 2));
     for (std::size_t i = 0; i < 8192; ++i) {
+      if (i % 64 == 63) seq.push_back(observes[(i / 64) % observes.size()]);
       if (i % 4096 == 4095) {
         for (const char* op : {"health", "metrics"}) {
           Request r;
@@ -205,18 +226,7 @@ std::vector<Request> replay_sequence(Workload w, std::uint64_t seed,
   const std::vector<double> measured = writer_measurements(model.spec, writes);
   Rng s2(stream_seed(seed, 2));
   for (std::size_t i = 0; i < writes.size(); ++i) {
-    Request r;
-    if (writes[i].refit) {
-      r.kind = Request::kRefit;
-      r.body = op_body("refit");
-    } else {
-      r.kind = Request::kObserve;
-      r.n = writes[i].n;
-      r.config = writes[i].config;
-      r.measured = measured[i];
-      r.body = observe_body(r.config, r.n, r.measured);
-    }
-    seq.push_back(std::move(r));
+    seq.push_back(write(writes[i], measured[i]));
     for (int k = 0; k < 2; ++k) seq.push_back(read(templates[mix.next(s2)]));
   }
   return seq;
@@ -319,7 +329,8 @@ ReplayCounts replay(const std::vector<Request>& seq, const core::Estimator& est,
         for (const auto& k : ex) key += k + ",";
         key += "|p=" + std::to_string(q.max_total_procs);
       } else {
-        key += "|" + search::estimate_key(q.config, q.n);
+        key += '|';
+        key += search::estimate_key(q.config, q.n);
       }
       const auto s = tr.span("search.cache.lookup", id);
       miss = !cache.lookup(key).has_value();

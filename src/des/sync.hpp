@@ -65,6 +65,7 @@ class Queue {
     if (!waiters_.empty()) {
       auto h = waiters_.front();
       waiters_.pop_front();
+      ++waking_;
       sim_.schedule_after(0.0, [h] { h.resume(); });
     }
   }
@@ -72,11 +73,23 @@ class Queue {
   /// Number of queued values.
   std::size_t size() const { return items_.size(); }
 
+  /// True when the queue holds no value and no task is waiting for one
+  /// (suspended, or released but not yet resumed): dropping it then
+  /// loses nothing a fresh queue would not reproduce.
+  bool idle() const {
+    return items_.empty() && waiters_.empty() && waking_ == 0;
+  }
+
   struct PopAwaiter {
     Queue& q;
+    bool suspended = false;
     bool await_ready() const { return !q.items_.empty(); }
-    void await_suspend(std::coroutine_handle<> h) { q.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      suspended = true;
+      q.waiters_.push_back(h);
+    }
     T await_resume() {
+      if (suspended) --q.waking_;
       HETSCHED_ASSERT(!q.items_.empty(), "Queue resumed without an item");
       T v = std::move(q.items_.front());
       q.items_.pop_front();
@@ -91,6 +104,7 @@ class Queue {
   Simulator& sim_;
   std::deque<T> items_;
   std::deque<std::coroutine_handle<>> waiters_;
+  std::size_t waking_ = 0;  // released by push, not yet resumed
 };
 
 /// Reusable n-party barrier.

@@ -1,11 +1,14 @@
 #include "measure/runner.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "hpl/cost_engine.hpp"
 #include "obs/hooks.hpp"
 #include "support/error.hpp"
+#include "support/work_steal.hpp"
 
 namespace hetsched::measure {
 
@@ -52,24 +55,29 @@ void Runner::set_retry(RetryPolicy policy) {
   retry_ = policy;
 }
 
-std::string Runner::cache_key(const cluster::Config& config, int n) const {
+std::string Runner::cache_key(const cluster::Config& config, int n,
+                              int repeats) const {
   std::ostringstream os;
   os << config.to_string() << '@' << n;
+  if (repeats > 1) os << "#x" << repeats;
   return os.str();
 }
 
-void Runner::register_failure(const std::string& key,
-                              const cluster::Config& config, int n) {
-  failed_keys_.insert(key);
-  failures_.push_back(FailedRun{config, n, retry_.max_attempts});
-  HETSCHED_COUNTER_ADD("measure.runs_abandoned", 1);
-  throw MeasurementFailure("measure: run " + key + " failed after " +
-                           std::to_string(retry_.max_attempts) + " attempts");
+const core::Sample* Runner::cached(const std::string& key) const {
+  const auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    HETSCHED_COUNTER_ADD("measure.cache_hits", 1);
+    return &it->second;
+  }
+  if (failed_keys_.count(key))
+    throw MeasurementFailure("measure: run " + key +
+                             " already failed permanently");
+  return nullptr;
 }
 
-core::Sample Runner::attempt_run(const cluster::Config& config, int n,
-                                 std::uint64_t h_base,
-                                 const std::string& key) {
+std::optional<core::Sample> Runner::attempt_run(const cluster::Config& config,
+                                                int n, std::uint64_t h_base,
+                                                Outcome& out) const {
   // Simulated seconds burned by failed attempts and backoff waits; folded
   // into measured_cost so the Tables 3/6 cost accounting reflects the
   // campaign's real price, not just the surviving run.
@@ -84,16 +92,11 @@ core::Sample Runner::attempt_run(const cluster::Config& config, int n,
       h = (h ^ static_cast<std::uint64_t>(attempt)) * 0x100000001b3ULL;
 
     const FaultOutcome outcome = injector_.draw(config, n, attempt);
-    if (outcome.events > 0) {
-      faults_injected_ += static_cast<std::size_t>(outcome.events);
-      HETSCHED_COUNTER_ADD("measure.faults_injected", outcome.events);
-    }
+    out.faults += static_cast<std::size_t>(outcome.events);
     if (outcome.failed) {
-      HETSCHED_COUNTER_ADD("measure.run_failures", 1);
+      ++out.aborted;
       if (attempt + 1 >= retry_.max_attempts) break;
-      ++retries_;
-      HETSCHED_COUNTER_ADD("measure.retries", 1);
-      HETSCHED_HISTOGRAM_RECORD("measure.backoff_wait_s", backoff_s);
+      out.waits.push_back(backoff_s);
       wasted_s += backoff_s;
       backoff_s *= retry_.backoff_mult;
       continue;
@@ -102,19 +105,16 @@ core::Sample Runner::attempt_run(const cluster::Config& config, int n,
     HETSCHED_TRACE_SPAN_VAR(obs_span, "measure", "sample");
     obs_span.arg("config", config.to_string()).arg("n", n);
     if (attempt > 0) obs_span.arg("attempt", attempt);
-    HETSCHED_COUNTER_ADD("measure.runs", 1);
+    ++out.started;
     core::Sample s = workload_(spec_, config, n, h);
-    ++runs_;
     if (injector_.enabled()) FaultInjector::apply(outcome, &s);
-    HETSCHED_HISTOGRAM_RECORD("measure.sample_wall_s", s.wall);
+    out.walls.push_back(s.wall);
 
     if (outcome.outlier && retry_.retry_outliers &&
         attempt + 1 < retry_.max_attempts) {
       // A watchdog caught the outlier: burn the run and go again.
       wasted_s += s.wall;
-      ++retries_;
-      HETSCHED_COUNTER_ADD("measure.retries", 1);
-      HETSCHED_HISTOGRAM_RECORD("measure.backoff_wait_s", backoff_s);
+      out.waits.push_back(backoff_s);
       wasted_s += backoff_s;
       backoff_s *= retry_.backoff_mult;
       continue;
@@ -123,97 +123,173 @@ core::Sample Runner::attempt_run(const cluster::Config& config, int n,
     s.measured_cost += wasted_s;
     return s;
   }
-  register_failure(key, config, n);
+  return std::nullopt;
 }
 
-const core::Sample& Runner::measure(const cluster::Config& config, int n) {
-  const std::string key = cache_key(config, n);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    HETSCHED_COUNTER_ADD("measure.cache_hits", 1);
-    return it->second;
-  }
-  if (failed_keys_.count(key))
-    throw MeasurementFailure("measure: run " + key +
-                             " already failed permanently");
-
-  HETSCHED_COUNTER_ADD("measure.cache_misses", 1);
-
-  // Distinct noise per (campaign, config, size): hash the cache key.
-  std::uint64_t h = salt_ * 0x100000001b3ULL;
-  for (const char c : key)
-    h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-
-  core::Sample s = attempt_run(config, n, h, key);
-  return cache_.emplace(key, std::move(s)).first->second;
-}
-
-const core::Sample& Runner::measure_repeated(const cluster::Config& config,
-                                             int n, int repeats) {
-  HETSCHED_CHECK(repeats >= 1, "measure_repeated: repeats >= 1");
-  if (repeats == 1) return measure(config, n);
-
-  const std::string key =
-      cache_key(config, n) + "#x" + std::to_string(repeats);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    HETSCHED_COUNTER_ADD("measure.cache_hits", 1);
-    return it->second;
-  }
-  if (failed_keys_.count(key))
-    throw MeasurementFailure("measure: run " + key +
-                             " already failed permanently");
-  HETSCHED_COUNTER_ADD("measure.cache_misses", 1);
-
-  core::Sample avg;
-  for (int trial = 0; trial < repeats; ++trial) {
-    std::uint64_t h = (salt_ + 1444 * static_cast<std::uint64_t>(trial) + 1) *
-                      0x100000001b3ULL;
-    for (const char c : key)
-      h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-    core::Sample s = attempt_run(config, n, h, key);
-    // measured_cost includes retry/backoff waste, so accumulate it (equal
-    // to wall on a clean run — the historical accounting).
-    if (trial == 0) {
-      avg = std::move(s);
-      avg.measured_cost = avg.measured_cost > 0 ? avg.measured_cost : avg.wall;
-    } else {
-      HETSCHED_CHECK(s.kinds.size() == avg.kinds.size(),
-                     "measure_repeated: inconsistent kind count");
-      avg.wall += s.wall;
-      avg.measured_cost += s.measured_cost > 0 ? s.measured_cost : s.wall;
-      for (std::size_t k = 0; k < s.kinds.size(); ++k) {
-        avg.kinds[k].tai += s.kinds[k].tai;
-        avg.kinds[k].tci += s.kinds[k].tci;
+Runner::Outcome Runner::simulate(const cluster::Config& config, int n,
+                                 int repeats, const std::string& key) const {
+  Outcome out;
+  try {
+    for (int trial = 0; trial < repeats; ++trial) {
+      // Distinct noise per (campaign, config, size, trial): hash the key.
+      // A single measurement keeps the historical seed.
+      const std::uint64_t seed =
+          repeats == 1 ? salt_
+                       : salt_ + 1444 * static_cast<std::uint64_t>(trial) + 1;
+      std::uint64_t h = seed * 0x100000001b3ULL;
+      for (const char c : key)
+        h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
+      std::optional<core::Sample> s = attempt_run(config, n, h, out);
+      if (!s) {
+        out.failed = true;
+        return out;
+      }
+      if (repeats == 1) {
+        out.sample = std::move(*s);
+        return out;
+      }
+      // measured_cost includes retry/backoff waste, so accumulate it
+      // (equal to wall on a clean run — the historical accounting).
+      core::Sample& avg = out.sample;
+      if (trial == 0) {
+        avg = std::move(*s);
+        avg.measured_cost =
+            avg.measured_cost > 0 ? avg.measured_cost : avg.wall;
+      } else {
+        HETSCHED_CHECK(s->kinds.size() == avg.kinds.size(),
+                       "measure_repeated: inconsistent kind count");
+        avg.wall += s->wall;
+        avg.measured_cost +=
+            s->measured_cost > 0 ? s->measured_cost : s->wall;
+        for (std::size_t k = 0; k < s->kinds.size(); ++k) {
+          avg.kinds[k].tai += s->kinds[k].tai;
+          avg.kinds[k].tci += s->kinds[k].tci;
+        }
       }
     }
+  } catch (...) {
+    out.error = std::current_exception();
+    return out;
   }
+  core::Sample& avg = out.sample;
   avg.trials = repeats;
   avg.wall /= repeats;
   for (auto& k : avg.kinds) {
     k.tai /= repeats;
     k.tci /= repeats;
   }
-  return cache_.emplace(key, std::move(avg)).first->second;
+  return out;
+}
+
+const core::Sample& Runner::commit(const std::string& key,
+                                   const cluster::Config& config, int n,
+                                   const Outcome& out) {
+  HETSCHED_COUNTER_ADD("measure.cache_misses", 1);
+  runs_ += out.walls.size();
+  retries_ += out.waits.size();
+  faults_injected_ += out.faults;
+  // Metrics the serial loop never touched stay unregistered.
+  if (out.faults > 0)
+    HETSCHED_COUNTER_ADD("measure.faults_injected", out.faults);
+  if (out.aborted > 0)
+    HETSCHED_COUNTER_ADD("measure.run_failures", out.aborted);
+  if (out.started > 0) HETSCHED_COUNTER_ADD("measure.runs", out.started);
+  if (!out.waits.empty())
+    HETSCHED_COUNTER_ADD("measure.retries", out.waits.size());
+  for (const double w : out.waits)
+    HETSCHED_HISTOGRAM_RECORD("measure.backoff_wait_s", w);
+  for (const double w : out.walls)
+    HETSCHED_HISTOGRAM_RECORD("measure.sample_wall_s", w);
+
+  if (out.error) std::rethrow_exception(out.error);
+  if (out.failed) {
+    failed_keys_.insert(key);
+    failures_.push_back(FailedRun{config, n, retry_.max_attempts});
+    HETSCHED_COUNTER_ADD("measure.runs_abandoned", 1);
+    throw MeasurementFailure("measure: run " + key + " failed after " +
+                             std::to_string(retry_.max_attempts) +
+                             " attempts");
+  }
+  return cache_.emplace(key, out.sample).first->second;
+}
+
+const core::Sample& Runner::measure(const cluster::Config& config, int n) {
+  return measure_repeated(config, n, 1);
+}
+
+const core::Sample& Runner::measure_repeated(const cluster::Config& config,
+                                             int n, int repeats) {
+  HETSCHED_CHECK(repeats >= 1, "measure_repeated: repeats >= 1");
+  const std::string key = cache_key(config, n, repeats);
+  if (const core::Sample* hit = cached(key)) return *hit;
+  return commit(key, config, n, simulate(config, n, repeats, key));
 }
 
 core::MeasurementSet Runner::run_plan(const MeasurementPlan& plan) {
   HETSCHED_TRACE_SPAN_VAR(obs_span, "measure", "run_plan");
   obs_span.arg("plan", plan.name);
+
+  // The plan's runs in plan order, and one simulation slot per distinct
+  // key the cache cannot answer yet.
+  struct Entry {
+    cluster::Config config;
+    int n = 0;
+    std::string key;
+  };
+  std::vector<Entry> entries;
+  const auto add = [&](const cluster::Config& config, int n) {
+    entries.push_back(Entry{config, n, cache_key(config, n, plan.repeats)});
+  };
+  for (const auto& config : plan.construction_configs())
+    for (const int n : plan.ns) add(config, n);
+  for (const auto& config : plan.adjust_configs)
+    for (const int n : plan.adjust_ns) add(config, n);
+  HETSCHED_CHECK(entries.empty() || plan.repeats >= 1,
+                 "measure_repeated: repeats >= 1");
+
+  std::vector<const Entry*> jobs;
+  std::map<std::string, std::size_t> slot_of;
+  for (const Entry& e : entries)
+    if (!cache_.count(e.key) && !failed_keys_.count(e.key) &&
+        slot_of.emplace(e.key, 0).second)
+      jobs.push_back(&e);
+  // Heaviest first (work grows with N·P), so the lightest runs are the
+  // ones left to balance the tail.
+  const auto weight = [](const Entry* e) {
+    return static_cast<double>(e->n) * e->config.total_procs();
+  };
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [&](const Entry* a, const Entry* b) {
+                     return weight(a) > weight(b);
+                   });
+  for (std::size_t i = 0; i < jobs.size(); ++i) slot_of[jobs[i]->key] = i;
+
+  std::vector<Outcome> outcomes(jobs.size());
+  if (!jobs.empty()) {
+    const std::size_t cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    support::WorkStealingPool pool(std::min(cores, jobs.size()));
+    pool.parallel_for(jobs.size(), [&](std::size_t i) {
+      outcomes[i] =
+          simulate(jobs[i]->config, jobs[i]->n, plan.repeats, jobs[i]->key);
+    });
+  }
+
+  // Commit in plan order: the cache, the tallies, failures() and the
+  // set come out exactly as a serial measure_repeated pass leaves them.
   core::MeasurementSet ms;
-  const auto measure_into = [&](const cluster::Config& config, int n) {
+  for (const Entry& e : entries) {
     // A permanently failed run is a hole in the campaign, not the end of
     // it: record the gap (ModelBuilder degrades around it) and move on.
     try {
-      ms.add(measure_repeated(config, n, plan.repeats));
+      const core::Sample* s = cached(e.key);
+      if (s == nullptr)
+        s = &commit(e.key, e.config, e.n, outcomes[slot_of.at(e.key)]);
+      ms.add(*s);
     } catch (const MeasurementFailure&) {
-      ms.add_failure(config, n);
+      ms.add_failure(e.config, e.n);
     }
-  };
-  for (const auto& config : plan.construction_configs())
-    for (const int n : plan.ns) measure_into(config, n);
-  for (const auto& config : plan.adjust_configs)
-    for (const int n : plan.adjust_ns) measure_into(config, n);
+  }
   return ms;
 }
 

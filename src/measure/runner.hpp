@@ -2,13 +2,16 @@
 // reduces HPL runs to estimation samples.
 //
 // This is the stand-in for the paper's six hours of wall-clock benchmark
-// runs; on the simulator a full Basic sweep takes seconds. Runs are cached
-// by (configuration, N) so evaluation passes that revisit configurations
-// pay once.
+// runs; on the simulator a full Basic sweep takes under a second. Runs are
+// cached by (configuration, N) so evaluation passes that revisit
+// configurations pay once, and run_plan simulates a plan's runs on every
+// core (DESIGN.md note 17).
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,6 +28,9 @@ namespace hetsched::measure {
 /// given noise salt and reduce the run to a Sample. The default is the
 /// HPL cost engine; other applications (e.g. apps::run_stencil_workload)
 /// plug in here — the estimation pipeline above is workload-agnostic.
+/// Runner::run_plan calls it concurrently from several threads, so it
+/// must be safe to call concurrently and a pure function of its
+/// arguments.
 using WorkloadFn = std::function<core::Sample(
     const cluster::ClusterSpec&, const cluster::Config&, int n,
     std::uint64_t salt)>;
@@ -80,7 +86,11 @@ class Runner {
   /// Executes a full plan: every construction configuration at every
   /// construction size, plus the adjustment anchors. Permanently failed
   /// runs are skipped (recorded via MeasurementSet::failures() and
-  /// failures() here) instead of aborting the campaign.
+  /// failures() here) instead of aborting the campaign. The plan's
+  /// uncached runs are simulated in parallel, one thread per hardware
+  /// core at most, then committed in plan order: the result, the cache,
+  /// every counter and failures() equal a serial measure_repeated pass
+  /// over the plan, bit for bit.
   core::MeasurementSet run_plan(const MeasurementPlan& plan);
 
   /// Installs a fault-injection plan (measure/faults.hpp). Replaces any
@@ -99,7 +109,7 @@ class Runner {
   /// Fault events injected so far (failures + stragglers + outliers).
   std::size_t faults_injected() const { return faults_injected_; }
 
-  /// Runs abandoned after exhausting the retry budget, in order.
+  /// Runs abandoned after exhausting the retry budget, in plan order.
   const std::vector<FailedRun>& failures() const { return failures_; }
 
   const FaultInjector& faults() const { return injector_; }
@@ -108,17 +118,45 @@ class Runner {
   const cluster::ClusterSpec& spec() const { return spec_; }
 
  private:
-  std::string cache_key(const cluster::Config& config, int n) const;
+  /// One cache key's simulation before it is committed: the averaged
+  /// sample (or the failure), and every tally the runner and the
+  /// `measure.*` metrics take from it, in the order they arose.
+  struct Outcome {
+    core::Sample sample;
+    bool failed = false;        ///< an attempt budget ran out
+    std::exception_ptr error;   ///< the workload threw; rethrown on commit
+    std::size_t started = 0;    ///< workload calls begun (measure.runs)
+    std::size_t faults = 0;     ///< injected fault events
+    std::size_t aborted = 0;    ///< attempts the injector failed
+    std::vector<double> walls;  ///< one per completed workload call
+    std::vector<double> waits;  ///< backoff before each re-run
+  };
 
-  /// Runs (config, n) under the retry policy, starting from per-trial
-  /// hash `h_base`. Throws MeasurementFailure after max_attempts failed
-  /// attempts; `key` only labels the error message.
-  core::Sample attempt_run(const cluster::Config& config, int n,
-                           std::uint64_t h_base, const std::string& key);
+  std::string cache_key(const cluster::Config& config, int n,
+                        int repeats) const;
 
-  /// Registers the permanent failure of `key` (exactly once per key).
-  [[noreturn]] void register_failure(const std::string& key,
-                                     const cluster::Config& config, int n);
+  /// The cached sample of `key`, counting a cache hit; nullptr if the
+  /// key has not been measured. Throws MeasurementFailure for a key that
+  /// already failed permanently.
+  const core::Sample* cached(const std::string& key) const;
+
+  /// Simulates `repeats` trials of (config, n) under the retry policy.
+  /// Touches no runner state, so distinct keys may run concurrently.
+  Outcome simulate(const cluster::Config& config, int n, int repeats,
+                   const std::string& key) const;
+
+  /// One trial from per-trial hash `h_base`, tallied into `out`; empty
+  /// when every attempt failed.
+  std::optional<core::Sample> attempt_run(const cluster::Config& config,
+                                          int n, std::uint64_t h_base,
+                                          Outcome& out) const;
+
+  /// Applies `out` to the runner and the metrics as a cache miss of
+  /// `key`: caches the sample, or registers the failure and throws
+  /// MeasurementFailure, or rethrows the workload's exception.
+  const core::Sample& commit(const std::string& key,
+                             const cluster::Config& config, int n,
+                             const Outcome& out);
 
   cluster::ClusterSpec spec_;
   WorkloadFn workload_;

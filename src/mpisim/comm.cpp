@@ -26,11 +26,10 @@ Comm::MatchKey Comm::key(int src, int tag) {
   return (static_cast<MatchKey>(src) << 32) | static_cast<std::uint32_t>(tag);
 }
 
-des::Queue<Message>& Comm::mailbox(int dst, int src, int tag) {
-  validate_rank(dst);
-  auto& slot = mailboxes_[static_cast<std::size_t>(dst)][key(src, tag)];
-  if (!slot) slot = std::make_unique<des::Queue<Message>>(machine_.sim());
-  return *slot;
+des::Queue<Message>& Comm::mailbox(int dst, MatchKey k) {
+  return mailboxes_[static_cast<std::size_t>(dst)]
+      .try_emplace(k, machine_.sim())
+      .first->second;
 }
 
 void Comm::validate_rank(int rank) const {
@@ -61,10 +60,14 @@ des::Task Comm::send_impl(int src, int dst, int tag, Bytes bytes,
   const cluster::TransferTimes times = machine_.network().plan_transfer(
       sim.now(), pe_of(src).node, pe_of(dst).node, bytes);
 
-  des::Queue<Message>* box = &mailbox(dst, src, tag);
+  // The mailbox is resolved on delivery: a receive may release the
+  // current one before this message arrives.
+  const MatchKey k = key(src, tag);
   Message msg{src, tag, bytes, std::move(payload)};
   sim.schedule_at(times.delivered,
-                  [box, m = std::move(msg)]() mutable { box->push(std::move(m)); });
+                  [this, dst, k, m = std::move(msg)]() mutable {
+                    mailbox(dst, k).push(std::move(m));
+                  });
 
   co_await sim.delay(times.sender_done - sim.now());
 }
@@ -76,11 +79,19 @@ des::ValueTask<Message> Comm::recv(int dst, int src, int tag) {
 }
 
 des::ValueTask<Message> Comm::recv_impl(int dst, int src, int tag) {
-  des::Queue<Message>& box = mailbox(dst, src, tag);
+  const MatchKey k = key(src, tag);
+  des::Queue<Message>& box = mailbox(dst, k);
   Message m = co_await box.pop();
+  if (box.idle()) mailboxes_[static_cast<std::size_t>(dst)].erase(k);
   ++stats_[static_cast<std::size_t>(dst)].recvs;
   HETSCHED_COUNTER_ADD("mpisim.recvs", 1);
   co_return m;
+}
+
+std::size_t Comm::live_mailboxes() const {
+  std::size_t live = 0;
+  for (const auto& boxes : mailboxes_) live += boxes.size();
+  return live;
 }
 
 const CommStats& Comm::stats(int rank) const {

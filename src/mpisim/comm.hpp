@@ -8,13 +8,18 @@
 // channel) and resumes when the local buffer is free; delivery happens
 // later and matches a posted or future recv by (source, tag).
 //
+// Each (destination, source, tag) has a FIFO mailbox that lives only
+// while it holds a message or a waiting receiver: a receive that leaves
+// it empty releases it, and a delivery looks it up (or creates it) when
+// it arrives. HPL draws a fresh tag per panel, so mailboxes kept for the
+// whole run would pile up by the thousand.
+//
 // Payloads are optional: the HPL cost engine sends sizes only, while the
 // numeric engine ships real matrix panels through the same code path.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -69,6 +74,10 @@ class Comm {
 
   const CommStats& stats(int rank) const;
 
+  /// Mailboxes currently holding a message or a waiting receiver,
+  /// summed over all ranks (zero once every message was received).
+  std::size_t live_mailboxes() const;
+
  private:
   using MatchKey = std::uint64_t;  // (src << 32) | tag
   static MatchKey key(int src, int tag);
@@ -77,14 +86,13 @@ class Comm {
                       std::vector<double> payload);
   des::ValueTask<Message> recv_impl(int dst, int src, int tag);
 
-  des::Queue<Message>& mailbox(int dst, int src, int tag);
+  des::Queue<Message>& mailbox(int dst, MatchKey k);
   void validate_rank(int rank) const;
 
   cluster::Machine& machine_;
   cluster::Placement placement_;
   // mailboxes_[dst][key(src, tag)]
-  std::vector<std::map<MatchKey, std::unique_ptr<des::Queue<Message>>>>
-      mailboxes_;
+  std::vector<std::map<MatchKey, des::Queue<Message>>> mailboxes_;
   std::vector<CommStats> stats_;
 };
 

@@ -1078,12 +1078,14 @@ void Service::ingest_observation(const cluster::Config& config, int n,
   // The wire carries only the measured total; split it into computation
   // and communication by the prediction's own ratio — the best available
   // attribution, and exact in the limit where only the overall scale
-  // drifted.
+  // drifted. The parts are clamped at zero first (DESIGN.md note 10): an
+  // N-T bin's fitted polynomial can go negative, and a ratio outside
+  // [0, 1] would hand the buffer a negative part.
   double pred_tai = 0.0;
   double pred_tci = 0.0;
   for (const auto& k : bd.kinds) {
-    pred_tai += k.tai;
-    pred_tci += k.tci;
+    pred_tai += std::max(0.0, k.tai);
+    pred_tci += std::max(0.0, k.tci);
   }
   const double denom = pred_tai + pred_tci;
   const double ratio = denom > 0.0 ? pred_tai / denom : 1.0;

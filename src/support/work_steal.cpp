@@ -39,6 +39,8 @@ struct Job {
   std::size_t n = 0;
   bool stealing = true;
   std::vector<ChunkDeque> deques;  // one per context
+  // Contexts inside work() for this job. Workers join under the pool
+  // mutex (worker_loop), the caller before it publishes the job.
   std::atomic<int> running{0};
   std::atomic<bool> aborted{false};
   std::exception_ptr error;  // guarded by the pool mutex
@@ -99,11 +101,9 @@ struct WorkStealingPool::Impl {
     }
   }
 
+  // Runs chunks of `j` as context `self`, which has already joined it
+  // (counted in j->running).
   void work(const std::shared_ptr<Job>& j, std::size_t self) {
-    HETSCHED_ATOMIC_DOC(acq_rel, "pairs with the caller's acquire load in "
-                                 "the cv_done predicate: running must reach "
-                                 "0 only after every context's writes");
-    j->running.fetch_add(1, std::memory_order_acq_rel);
     std::uint64_t chunks_claimed = 0;
     std::uint64_t indices_run = 0;
     std::uint64_t stolen = 0;
@@ -136,9 +136,9 @@ struct WorkStealingPool::Impl {
     HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic; a stale read in "
                                  "steals() is fine");
     if (stolen > 0) steals.fetch_add(stolen, std::memory_order_relaxed);
-    HETSCHED_ATOMIC_DOC(acq_rel, "pairs with every context's acq_rel "
-                                 "increment: the last decrement observes "
-                                 "all loop-body writes before notifying");
+    HETSCHED_ATOMIC_DOC(acq_rel, "chains every context's decrement: the "
+                                 "caller's acquire load that reads 0 sees "
+                                 "all loop-body writes");
     if (j->running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last one out: take the lock empty so the caller cannot check the
       // predicate and fall asleep between our decrement and the notify.
@@ -157,6 +157,17 @@ struct WorkStealingPool::Impl {
         if (stop) return;
         seen = epoch;
         j = job;
+        // Join while holding mu: the caller evaluates its completion
+        // predicate under mu and retires the job in the same critical
+        // section, so a worker either joins before that check (and holds
+        // it off until it leaves) or finds no job. A worker joining
+        // outside mu could pop its last chunk between the caller's read
+        // of running and its scan of the deques, and parallel_for would
+        // return while that chunk still ran.
+        HETSCHED_ATOMIC_DOC(relaxed, "ordered by mu against the caller's "
+                                     "predicate, which reads running under "
+                                     "mu");
+        if (j) j->running.fetch_add(1, std::memory_order_relaxed);
       }
       if (j) work(j, self);
     }
@@ -234,6 +245,9 @@ void WorkStealingPool::parallel_for(
   }
   {
     std::lock_guard<std::mutex> l(impl_->mu);
+    HETSCHED_ATOMIC_DOC(relaxed, "the caller joins as context 0 before any "
+                                 "worker can see the job");
+    j->running.fetch_add(1, std::memory_order_relaxed);
     impl_->job = j;
     ++impl_->epoch;
   }

@@ -1,22 +1,23 @@
-// Work-stealing thread pool with the same deterministic-by-construction
-// parallel loop contract as ThreadPool.
+// Work-stealing thread pool with a deterministic-by-construction
+// parallel loop: one blocking `parallel_for` over an index range, no
+// task graph. The repository's one thread pool — the configuration
+// search (src/search), the measurement campaign (measure::Runner) and
+// the server's batch fan-out all run on it.
 //
-// ThreadPool hands out contiguous blocks through one shared atomic
-// cursor; under a branch-and-bound search the blocks are wildly uneven
-// (a pruned subtree costs nanoseconds, a surviving one prices hundreds
-// of leaves), so late in the loop most contexts idle while one drains
-// its last heavy block. Here every context owns a deque of index
-// chunks, runs its own front-to-back, and — when `stealing` is enabled
-// — takes chunks from the *back* of a victim's deque once its own is
-// empty, so imbalance migrates to whoever is idle.
+// Work is uneven in every user: under a branch-and-bound search a
+// pruned subtree costs nanoseconds while a surviving one prices
+// hundreds of leaves, and a campaign's simulated runs span three orders
+// of magnitude. So every context owns a deque of index chunks, runs its
+// own front-to-back, and — when `stealing` is enabled — takes chunks
+// from the *back* of a victim's deque once its own is empty, so
+// imbalance migrates to whoever is idle.
 //
-// Determinism contract (identical to ThreadPool): which *context* runs
-// index i depends on scheduling, but fn receives every index in [0, n)
-// exactly once — each chunk sits in exactly one deque and is removed
-// exactly once. Writing results into slot i and reducing the slots
-// serially afterwards yields bit-identical output for any thread count
-// and any steal pattern. The configuration-search engine (src/search)
-// builds on this.
+// Determinism contract: which *context* runs index i depends on
+// scheduling, but fn receives every index in [0, n) exactly once —
+// each chunk sits in exactly one deque and is removed exactly once.
+// Writing results into slot i and reducing the slots serially
+// afterwards yields bit-identical output for any thread count and any
+// steal pattern.
 //
 // With `stealing == false` the pool degrades to a fixed round-robin
 // partition of the chunks with no migration — the differential tests

@@ -194,6 +194,26 @@ TEST(CostEngine, NoiseSaltChangesMeasurements) {
   EXPECT_NEAR(a.makespan, b.makespan, 0.1 * a.makespan);
 }
 
+// Exact makespans, bit for bit, on the noisy paper cluster. Any change
+// to the simulator's event order, arithmetic or message matching moves
+// at least one of them. P-II 8x6 at N = 6400 is the heaviest run of the
+// Basic campaign and the one with the most live mailboxes.
+TEST(CostEngine, GoldenMakespans) {
+  const cluster::ClusterSpec spec = cluster::paper_cluster();
+  EXPECT_EQ(run_cost(spec, cluster::Config::paper(0, 0, 8, 6),
+                     params_for(6400, 1))
+                .makespan,
+            0x1.3aa879208be1dp+7);
+  EXPECT_EQ(run_cost(spec, cluster::Config::paper(1, 4, 0, 0),
+                     params_for(2000, 1))
+                .makespan,
+            0x1.304085929cbdep+3);
+  EXPECT_EQ(run_cost(spec, cluster::Config::paper(1, 3, 5, 2),
+                     params_for(3200, 1))
+                .makespan,
+            0x1.a9610c9c56dcep+4);
+}
+
 TEST(CostEngine, InvalidParamsRejected) {
   EXPECT_THROW(run_cost(quiet_cluster(), cluster::Config::paper(1, 1, 0, 0),
                         params_for(0)),

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_builder.hpp"
 #include "measure/evaluation.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "search/cache.hpp"
 #include "support/error.hpp"
 
 namespace hetsched::measure {
@@ -170,6 +172,21 @@ TEST(Runner, RepeatedMeasurementReducesNoise) {
     return hi - lo;
   };
   EXPECT_LT(spread(8), spread(1));
+}
+
+// The fitted models of the three paper campaigns, pinned by content
+// fingerprint (the daemon's model_fingerprint). Parallel simulation must
+// not move a bit of any sample the fits consume.
+TEST(Runner, GoldenCampaignFingerprints) {
+  const cluster::ClusterSpec spec = cluster::paper_cluster();
+  const auto fingerprint = [&](const MeasurementPlan& plan) {
+    Runner runner(spec, 64, /*salt=*/1);
+    return search::estimator_fingerprint(
+        core::ModelBuilder(spec).build(runner.run_plan(plan)));
+  };
+  EXPECT_EQ(fingerprint(basic_plan()), 0x8642986bbbd9c0a2ULL);
+  EXPECT_EQ(fingerprint(nl_plan()), 0xe22b20af7f9b721eULL);
+  EXPECT_EQ(fingerprint(ns_plan()), 0x017f0bafcfb502d0ULL);
 }
 
 TEST(Runner, PlanRepeatsMultiplyRunCount) {

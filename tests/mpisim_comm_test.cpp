@@ -182,6 +182,66 @@ TEST(Comm, SameSourceSameTagFifoOrder) {
   EXPECT_EQ(order, (std::vector<double>{0, 1, 2, 3, 4}));
 }
 
+TEST(Comm, ReceivedMailboxesAreReleased) {
+  Fixture f;
+  Comm comm(f.machine, two_ranks_two_nodes());
+  constexpr int kTags = 200;
+  std::size_t live_before_recv = 0;
+  auto snd = [](Comm& c) -> des::Task {
+    for (int tag = 0; tag < kTags; ++tag) co_await c.send(0, 1, tag, 10.0);
+  };
+  // Receive long after every delivery, newest tag first, so each
+  // message sits in its own mailbox until its receive drains it.
+  auto rcv = [](Comm& c, std::size_t& live) -> des::Task {
+    co_await c.machine().sim().delay(1000.0);
+    live = c.live_mailboxes();
+    for (int tag = kTags - 1; tag >= 0; --tag) {
+      Message m = co_await c.recv(1, 0, tag);
+      EXPECT_EQ(m.tag, tag);
+    }
+  };
+  f.sim.spawn(snd(comm));
+  f.sim.spawn(rcv(comm, live_before_recv));
+  f.sim.run();
+  EXPECT_EQ(live_before_recv, static_cast<std::size_t>(kTags));
+  EXPECT_EQ(comm.live_mailboxes(), 0u);
+  EXPECT_EQ(comm.stats(1).recvs, static_cast<std::uint64_t>(kTags));
+}
+
+TEST(Comm, DeliveryAfterReleaseStillMatchesInFifoOrder) {
+  Fixture f;
+  Comm comm(f.machine, two_ranks_two_nodes());
+  std::vector<double> order;
+  std::size_t live_after_first = 1;
+  auto snd = [](Comm& c) -> des::Task {
+    for (int i = 0; i < 3; ++i) {
+      std::vector<double> v(1, static_cast<double>(i));
+      co_await c.send(0, 1, 5, 10.0, std::move(v));
+    }
+  };
+  // All three are sent before the first arrives. Receiving it releases
+  // (1, 0, 5) while the other two are still in flight; they land in a
+  // fresh mailbox with no receiver posted, long before they are asked
+  // for.
+  auto rcv = [](Comm& c, std::vector<double>& got,
+                std::size_t& live) -> des::Task {
+    Message m = co_await c.recv(1, 0, 5);
+    got.push_back(m.payload.at(0));
+    live = c.live_mailboxes();
+    co_await c.machine().sim().delay(100.0);
+    for (int i = 0; i < 2; ++i) {
+      m = co_await c.recv(1, 0, 5);
+      got.push_back(m.payload.at(0));
+    }
+  };
+  f.sim.spawn(snd(comm));
+  f.sim.spawn(rcv(comm, order, live_after_first));
+  f.sim.run();
+  EXPECT_EQ(live_after_first, 0u);
+  EXPECT_EQ(order, (std::vector<double>{0, 1, 2}));
+  EXPECT_EQ(comm.live_mailboxes(), 0u);
+}
+
 TEST(Comm, StatsAccounting) {
   Fixture f;
   Comm comm(f.machine, two_ranks_two_nodes());

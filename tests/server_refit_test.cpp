@@ -145,6 +145,32 @@ TEST(OnlineRefit, UnfittableDriftDowngradesProvenanceAndPlansRemeasure) {
             rr->find("model_fingerprint")->as_string());
 }
 
+// A refit can publish an N-T model whose computation part is negative
+// at a size it then observes (a fitted cubic crossing zero below its
+// data). The measured total is split by the clamped predicted parts,
+// so the observation is buffered — ObservationBuffer admits only
+// non-negative parts — instead of failing the request as `internal`.
+TEST(OnlineRefit, NegativePredictedPartStillBuffersTheObservation) {
+  core::Estimator est = testutil::make_estimator(1.0);
+  // beta[1x1]: Tai = -50 s, Tci = 300 s, total 250 s at every N.
+  est.add_nt(core::NtKey{"beta", 1, 1},
+             core::NtModel({0, 0, 0, -50.0}, {0, 0, 300.0}));
+  Service service(std::make_shared<const ModelSnapshot>(
+      std::move(est), testutil::reference_space()));
+  const core::Estimator::Breakdown bd =
+      service.snapshot()->estimator().breakdown(
+          cluster::Config{{cluster::KindUsage{"beta", 1, 1}}}, 2000);
+  ASSERT_LT(bd.kinds.at(0).tai, 0.0);
+  ASSERT_EQ(bd.total, 250.0);
+
+  for (std::size_t i = 1; i <= 3; ++i) {
+    const std::string resp = service.handle_payload(observe_req(2000, 260.0));
+    const json::Value doc = json::parse(resp);
+    ASSERT_TRUE(doc.find("ok")->as_bool()) << resp;
+    EXPECT_EQ(service.observation_count(), i);
+  }
+}
+
 // The background cadence: with refit_interval_us set, the service
 // refits on its own while request threads keep hammering it. The test
 // carries the `stress` label so the TSan leg audits the refit thread

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,9 +78,27 @@ TEST(SwapStress, EveryResponseBelongsWhollyToOneModel) {
     });
   }
 
+  // Pace the swaps on reader progress: each one waits until the readers
+  // have checked a few more responses, so every swap lands among live
+  // requests however the host schedules the threads. A stall fails the
+  // test at the deadline instead of hanging it.
+  constexpr std::uint64_t kChecksPerSwap = 3;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::uint64_t seen = 0;
   for (int swap = 0; swap < 400 && !stop.load(); ++swap) {
+    while (checked.load(std::memory_order_relaxed) < seen + kChecksPerSwap &&
+           !stop.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ADD_FAILURE() << "readers stalled after " << swap << " swaps";
+        stop.store(true);
+        break;
+      }
+      std::this_thread::yield();
+    }
+    if (stop.load()) break;
+    seen = checked.load(std::memory_order_relaxed);
     service.swap_snapshot(swap % 2 == 0 ? snap_b : snap_a);
-    std::this_thread::yield();
   }
   stop.store(true);
   for (auto& t : readers) t.join();

@@ -109,6 +109,37 @@ TEST(WorkStealingPool, ConcurrentCallersSerializeSafely) {
     ASSERT_EQ(counts[i].load(), 1) << "i=" << i;
 }
 
+// parallel_for must not return while an index is still to run. A
+// worker that joined a job only after the caller had read "no context
+// running", and popped its last chunk before the caller scanned the
+// deques, used to let the caller return mid-chunk: the index ran late
+// (a default result slot, or a write into a destroyed one). Several
+// oversubscribed callers with tiny jobs make that interleaving common.
+TEST(WorkStealingPool, EveryIndexHasRunWhenParallelForReturns) {
+  constexpr int kCallers = 6, kCalls = 100000;
+  std::atomic<int> early_returns{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t)
+    callers.emplace_back([&early_returns, t] {
+      WorkStealingPool pool(4, /*stealing=*/t % 2 == 0);
+      for (int call = 0; call < kCalls; ++call) {
+        const std::size_t n = 2 + static_cast<std::size_t>(call % 7);
+        std::vector<std::atomic<int>> counts(n);
+        for (auto& c : counts) c.store(0);
+        pool.parallel_for(n, [&](std::size_t i) {
+          counts[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const auto& c : counts)
+          if (c.load() != 1) {
+            early_returns.fetch_add(1);
+            break;
+          }
+      }
+    });
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(early_returns.load(), 0);
+}
+
 TEST(WorkStealingPool, ZeroThreadsMeansHardwareConcurrency) {
   WorkStealingPool pool(0);
   EXPECT_GE(pool.size(), 1u);

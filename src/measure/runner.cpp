@@ -196,9 +196,10 @@ const core::Sample& Runner::commit(const std::string& key,
   if (out.started > 0) HETSCHED_COUNTER_ADD("measure.runs", out.started);
   if (!out.waits.empty())
     HETSCHED_COUNTER_ADD("measure.retries", out.waits.size());
-  for (const double w : out.waits)
+  // `w` is unused under HETSCHED_OBS=OFF, where the hooks compile away.
+  for ([[maybe_unused]] const double w : out.waits)
     HETSCHED_HISTOGRAM_RECORD("measure.backoff_wait_s", w);
-  for (const double w : out.walls)
+  for ([[maybe_unused]] const double w : out.walls)
     HETSCHED_HISTOGRAM_RECORD("measure.sample_wall_s", w);
 
   if (out.error) std::rethrow_exception(out.error);

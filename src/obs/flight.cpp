@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/json.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace hetsched::obs::flight {
@@ -92,25 +93,6 @@ std::vector<Record> Ring::dump(std::size_t max_records) const {
 
 namespace {
 
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    // Table names are identifiers in practice; escape just enough that
-    // arbitrary tables still produce valid JSON.
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-void append_hex_fingerprint(std::string& out, std::uint64_t fp) {
-  static const char* hex = "0123456789abcdef";
-  out += "\"0x";
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out += hex[(fp >> shift) & 0xf];
-  out += '"';
-}
-
 const std::string& table_name(const std::vector<std::string>& table,
                               std::uint16_t index) {
   static const std::string unknown = "?";
@@ -138,18 +120,18 @@ std::string to_json(const Ring& ring, std::size_t max_records,
     out += ",\"wall_us\":";
     out += std::to_string(r.wall_us);
     out += ",\"op\":";
-    append_quoted(out, table_name(op_names, r.op));
+    out += json::json_quote(table_name(op_names, r.op));
     out += ",\"n\":";
     out += std::to_string(r.n);
     out += ",\"cache\":";
     out += r.cache == 1 ? "\"hit\"" : r.cache == 2 ? "\"miss\"" : "\"\"";
     out += ",\"fingerprint\":";
-    append_hex_fingerprint(out, r.fingerprint);
+    out += json::json_quote(json::hex_fingerprint(r.fingerprint));
     out += ",\"error\":";
     if (r.code == 0)
       out += "\"\"";
     else
-      append_quoted(out, table_name(code_names, r.code));
+      out += json::json_quote(table_name(code_names, r.code));
     out += '}';
   }
   out += "]}";

@@ -73,7 +73,7 @@ int flush_outputs() {
     if (!out) {
       std::cerr << "obs: cannot write metrics file " << path << "\n";
     } else {
-      write_metrics_json(out, snapshot());
+      out << registry_json(snapshot()) << '\n';
       std::cerr << "obs: metrics written to " << path << "\n";
       ++written;
     }

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -172,11 +174,15 @@ class Parser {
           break;
         case 'u': {
           if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          for (int i = 0; i < 4; ++i)
-            if (!std::isxdigit(static_cast<unsigned char>(s_[pos_ + i])))
-              fail("bad \\u escape");
-          out += "\\u";  // preserved verbatim (emitters are ASCII-only)
-          out.append(s_, pos_, 4);
+          const char* hex = s_.data() + pos_;
+          unsigned code = 0;
+          const auto res = std::from_chars(hex, hex + 4, code, 16);
+          if (res.ec != std::errc() || res.ptr != hex + 4)
+            fail("bad \\u escape");
+          if (code < 0x80)
+            out += static_cast<char>(code);  // inverts json_quote
+          else
+            out.append(s_, pos_ - 2, 6);  // preserved verbatim
           pos_ += 4;
           break;
         }
@@ -214,6 +220,71 @@ class Parser {
 };
 
 }  // namespace
+
+std::string json_quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(hex[(c >> 4) & 0xf]);
+          out.push_back(hex[c & 0xf]);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v))
+    throw TypeError("non-finite value reached canonical JSON emission");
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  if (res.ec != std::errc())
+    throw TypeError("double does not fit canonical JSON number buffer");
+  return std::string(buf, res.ptr);
+}
+
+std::string json_number_or_null(double v) {
+  return std::isfinite(v) ? json_number(v) : std::string("null");
+}
+
+std::string json_int(std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  if (res.ec != std::errc()) throw TypeError("int64 formatting cannot fail");
+  return std::string(buf, res.ptr);
+}
+
+std::string hex_fingerprint(std::uint64_t fp) {
+  static const char* digits = "0123456789abcdef";
+  std::string s = "0x";
+  for (int shift = 60; shift >= 0; shift -= 4)
+    s.push_back(digits[(fp >> shift) & 0xf]);
+  return s;
+}
 
 bool Value::as_bool() const {
   if (!is_bool()) throw TypeError("JSON value is not a bool");

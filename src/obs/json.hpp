@@ -1,14 +1,25 @@
-// Minimal strict JSON parser — just enough to validate and inspect the
-// artifacts this library emits (trace and metrics files) without an
-// external dependency. Not a general-purpose JSON library: no comments,
-// no trailing commas, \uXXXX escapes are preserved verbatim rather than
-// decoded (the emitters never produce non-ASCII).
+// The repository's one JSON codec: the canonical encoder every emitter
+// writes with (hsp/1 answers, metrics, flight and trace dumps, run
+// reports) and a minimal strict parser that reads those artifacts back
+// without an external dependency.
 //
-// Thread-safety: parse() is pure; Value is a plain value type.
+// Encoder: json_quote / json_number / json_int produce the canonical
+// tokens — escaped strings, shortest round-trip numbers — so that
+// parse(encode(x)) == x. Member order and layout stay with each caller.
+// server/protocol.hpp re-exports the three names for the wire code.
+//
+// Parser: not a general-purpose JSON library — no comments, no trailing
+// commas. \uXXXX escapes below U+0080 decode to their byte, which makes
+// parse() the exact inverse of json_quote(); higher code points are
+// preserved verbatim rather than decoded (the emitters never produce
+// them).
+//
+// Thread-safety: every function is pure; Value is a plain value type.
 // Complexity: O(input length), recursion depth bounded by kMaxDepth.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -61,7 +72,8 @@ class Value {
   std::shared_ptr<Object> obj_;
 };
 
-/// Thrown on malformed input (with byte offset) or accessor misuse.
+/// Thrown on malformed input (with byte offset) or accessor misuse; the
+/// encoder throws TypeError for a value JSON cannot carry.
 class ParseError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -70,6 +82,31 @@ class TypeError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+// --- canonical emission --------------------------------------------------
+
+/// `s` escaped and double-quoted. Escapes `"` `\` and control characters
+/// (\n \t \r named, the rest \u00XX); everything else verbatim.
+std::string json_quote(const std::string& s);
+
+/// Shortest decimal form that round-trips to exactly `v` via
+/// std::to_chars — the canonical number encoding. Throws TypeError on a
+/// non-finite value: JSON cannot carry it, so callers map it out
+/// beforehand (json_number_or_null, or an error answer).
+std::string json_number(double v);
+
+/// json_number(v), or `null` for a non-finite value — for scrape paths,
+/// where a pathological gauge must not corrupt the document.
+std::string json_number_or_null(double v);
+
+/// Integer form without exponent.
+std::string json_int(std::int64_t v);
+
+/// `fp` as "0x" and 16 lowercase hex digits, unquoted — the rendering of
+/// every model fingerprint.
+std::string hex_fingerprint(std::uint64_t fp);
+
+// --- parsing -------------------------------------------------------------
 
 /// Parses exactly one JSON document; trailing non-whitespace is an error.
 Value parse(const std::string& text);

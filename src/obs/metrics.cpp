@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ostream>
 
 #include "obs/fine_hist.hpp"
+#include "obs/json.hpp"
 
 namespace hetsched::obs {
+
+using json::json_int;
+using json::json_number_or_null;
+using json::json_quote;
 
 std::size_t thread_stripe() noexcept {
   static std::atomic<std::size_t> next{0};
@@ -180,69 +184,71 @@ void MetricsRegistry::reset() {
 
 MetricsSnapshot snapshot() { return MetricsRegistry::instance().snapshot(); }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  // JSON has no inf/nan literals; clamp to null (never produced by the
-  // metrics above in practice, but the writer must not emit bad JSON).
-  if (std::isfinite(v))
-    os << v;
-  else
-    os << "null";
-}
-
-}  // namespace
-
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
-  const auto precision = os.precision(17);
-  os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i)
-    os << (i ? ",\n    " : "\n    ") << '"' << snap.counters[i].name
-       << "\": " << snap.counters[i].value;
-  os << (snap.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
+std::string registry_json(const MetricsSnapshot& snap) {
+  std::string out = "{\"counters\":{";
+  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
+    if (i) out += ',';
+    out += json_quote(snap.counters[i].name);
+    out += ':';
+    out += json_int(static_cast<std::int64_t>(snap.counters[i].value));
+  }
+  out += "},\"gauges\":{";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << '"' << snap.gauges[i].name << "\": ";
-    write_number(os, snap.gauges[i].value);
+    if (i) out += ',';
+    out += json_quote(snap.gauges[i].name);
+    out += ':';
+    out += json_number_or_null(snap.gauges[i].value);
   }
-  os << (snap.gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
+  out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const HistogramSample& h = snap.histograms[i];
-    os << (i ? ",\n    " : "\n    ") << '"' << h.name
-       << "\": {\"count\": " << h.count << ", \"sum\": ";
-    write_number(os, h.sum);
-    os << ", \"bins\": [";
+    const auto& h = snap.histograms[i];
+    if (i) out += ',';
+    out += json_quote(h.name);
+    out += ":{\"count\":";
+    out += json_int(static_cast<std::int64_t>(h.count));
+    out += ",\"sum\":";
+    out += json_number_or_null(h.sum);
+    out += ",\"bins\":[";
     for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      os << (b ? ", [" : "[");
-      write_number(os, Histogram::bin_lower(h.bins[b].first));
-      os << ", ";
-      write_number(os, Histogram::bin_upper(h.bins[b].first));
-      os << ", " << h.bins[b].second << ']';
+      if (b) out += ',';
+      out += '[';
+      out += json_number_or_null(Histogram::bin_lower(h.bins[b].first));
+      out += ',';
+      out += json_number_or_null(Histogram::bin_upper(h.bins[b].first));
+      out += ',';
+      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
+      out += ']';
     }
-    os << "]}";
+    out += "]}";
   }
-  os << (snap.histograms.empty() ? "" : "\n  ")
-     << "},\n  \"fine_histograms\": {";
+  out += "},\"fine_histograms\":{";
   for (std::size_t i = 0; i < snap.fine_histograms.size(); ++i) {
-    const FineHistogramSample& h = snap.fine_histograms[i];
-    os << (i ? ",\n    " : "\n    ") << '"' << h.name
-       << "\": {\"count\": " << h.count << ", \"sum\": ";
-    write_number(os, h.sum);
-    os << ", \"p50\": ";
-    write_number(os, h.p50);
-    os << ", \"p99\": ";
-    write_number(os, h.p99);
-    os << ", \"bins\": [";
+    const auto& h = snap.fine_histograms[i];
+    if (i) out += ',';
+    out += json_quote(h.name);
+    out += ":{\"count\":";
+    out += json_int(static_cast<std::int64_t>(h.count));
+    out += ",\"sum\":";
+    out += json_number_or_null(h.sum);
+    out += ",\"p50\":";
+    out += json_number_or_null(h.p50);
+    out += ",\"p99\":";
+    out += json_number_or_null(h.p99);
+    out += ",\"bins\":[";
     for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      os << (b ? ", [" : "[");
-      write_number(os, FineHistogram::bin_lower(h.bins[b].first));
-      os << ", ";
-      write_number(os, FineHistogram::bin_upper(h.bins[b].first));
-      os << ", " << h.bins[b].second << ']';
+      if (b) out += ',';
+      out += '[';
+      out += json_number_or_null(FineHistogram::bin_lower(h.bins[b].first));
+      out += ',';
+      out += json_number_or_null(FineHistogram::bin_upper(h.bins[b].first));
+      out += ',';
+      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
+      out += ']';
     }
-    os << "]}";
+    out += "]}";
   }
-  os << (snap.fine_histograms.empty() ? "" : "\n  ") << "}\n}\n";
-  os.precision(precision);
+  out += "}}";
+  return out;
 }
 
 }  // namespace hetsched::obs

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -220,13 +219,17 @@ class MetricsRegistry {
 /// "what has the process done so far" API.
 MetricsSnapshot snapshot();
 
-/// Writes a snapshot as a JSON document:
-/// {"counters": {name: value, ...},
-///  "gauges": {name: value, ...},
-///  "histograms": {name: {"count": c, "sum": s,
-///                        "bins": [[lower, upper, count], ...]}, ...},
-///  "fine_histograms": {name: {"count": c, "sum": s, "p50": q, "p99": q,
-///                             "bins": [[lower, upper, count], ...]}, ...}}
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap);
+/// The snapshot as one canonical JSON document — the only renderer of the
+/// registry: the `metrics` wire op serves it as its process section and
+/// --metrics-out writes it followed by a newline. Fixed member order, no
+/// whitespace, shortest round-trip numbers (obs/json.hpp); maps are
+/// name-sorted, non-finite values render as null:
+/// {"counters":{name:value,...},
+///  "gauges":{name:value,...},
+///  "histograms":{name:{"count":c,"sum":s,
+///                      "bins":[[lower,upper,count],...]},...},
+///  "fine_histograms":{name:{"count":c,"sum":s,"p50":q,"p99":q,
+///                           "bins":[[lower,upper,count],...]},...}}
+std::string registry_json(const MetricsSnapshot& snap);
 
 }  // namespace hetsched::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 namespace hetsched::obs::report {
@@ -17,62 +16,28 @@ double steady_seconds() {
 }
 
 // -- JSON writing helpers ---------------------------------------------------
-// The emitter produces exactly what obs/json.hpp parses: strict JSON,
-// ASCII, no trailing commas. Doubles carry 17 significant digits so
-// serialize -> parse -> serialize is a fixed point.
+// Tokens come from the canonical encoder (obs/json.hpp), so
+// serialize -> parse -> serialize is a fixed point. The layout keeps one
+// record per line so committed baselines diff readably.
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
+using json::json_quote;
 
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) v = 0.0;  // JSON has no inf/nan
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-  // "%.17g" of an integral value prints no '.' or exponent; that is
-  // still a valid JSON number, so leave it as is.
+/// JSON has no inf/nan; the report writes them as 0.
+std::string finite_number(double v) {
+  return json::json_number(std::isfinite(v) ? v : 0.0);
 }
 
 void append_stats(std::string& out, const AccuracyStats& st) {
   out += "{\"count\": ";
   out += std::to_string(st.count);
   out += ", \"mean_rel_err\": ";
-  append_double(out, st.mean_rel_err);
+  out += finite_number(st.mean_rel_err);
   out += ", \"mean_abs_rel_err\": ";
-  append_double(out, st.mean_abs_rel_err);
+  out += finite_number(st.mean_abs_rel_err);
   out += ", \"max_abs_rel_err\": ";
-  append_double(out, st.max_abs_rel_err);
+  out += finite_number(st.max_abs_rel_err);
   out += ", \"pearson_r\": ";
-  append_double(out, st.pearson_r);
+  out += finite_number(st.pearson_r);
   out += ", \"hist\": [";
   for (std::size_t i = 0; i < st.hist.size(); ++i) {
     if (i) out += ", ";
@@ -222,13 +187,13 @@ void RunReport::write_json(std::ostream& os) const {
   std::string out;
   out.reserve(256 + records.size() * 220);
   out += "{\"schema\": ";
-  append_escaped(out, kSchema);
+  out += json_quote(kSchema);
   out += ",\n \"name\": ";
-  append_escaped(out, name);
+  out += json_quote(name);
   out += ",\n \"hist_edges\": [";
   for (std::size_t i = 0; i < kHistEdges.size(); ++i) {
     if (i) out += ", ";
-    append_double(out, kHistEdges[i]);
+    out += finite_number(kHistEdges[i]);
   }
   out += "],\n \"records\": [";
   bool first = true;
@@ -236,27 +201,27 @@ void RunReport::write_json(std::ostream& os) const {
     out += first ? "\n  " : ",\n  ";
     first = false;
     out += "{\"family\": ";
-    append_escaped(out, r.family);
+    out += json_quote(r.family);
     out += ", \"bench\": ";
-    append_escaped(out, r.bench);
+    out += json_quote(r.bench);
     out += ", \"config\": ";
-    append_escaped(out, r.config);
+    out += json_quote(r.config);
     out += ", \"n\": ";
     out += std::to_string(r.n);
     out += ", \"bin\": ";
-    append_escaped(out, r.bin);
+    out += json_quote(r.bin);
     out += ", \"provenance\": ";
-    append_escaped(out, r.provenance);
+    out += json_quote(r.provenance);
     out += ", \"adjusted\": ";
     out += r.adjusted ? "true" : "false";
     out += ", \"tai\": ";
-    append_double(out, r.tai);
+    out += finite_number(r.tai);
     out += ", \"tci\": ";
-    append_double(out, r.tci);
+    out += finite_number(r.tci);
     out += ", \"predicted\": ";
-    append_double(out, r.predicted);
+    out += finite_number(r.predicted);
     out += ", \"measured\": ";
-    append_double(out, r.measured);
+    out += finite_number(r.measured);
     out += "}";
   }
   out += "],\n \"scalars\": {";
@@ -264,16 +229,16 @@ void RunReport::write_json(std::ostream& os) const {
   for (const auto& [key, value] : scalars) {
     out += first ? "\n  " : ",\n  ";
     first = false;
-    append_escaped(out, key);
+    out += json_quote(key);
     out += ": ";
-    append_double(out, value);
+    out += finite_number(value);
   }
   out += "},\n \"accuracy\": {";
   first = true;
   for (const auto& [family, fam] : accuracy) {
     out += first ? "\n  " : ",\n  ";
     first = false;
-    append_escaped(out, family);
+    out += json_quote(family);
     out += ": {\"all\": ";
     append_stats(out, fam.all);
     out += ", \"bins\": {";
@@ -281,7 +246,7 @@ void RunReport::write_json(std::ostream& os) const {
     for (const auto& [bin, st] : fam.bins) {
       if (!bfirst) out += ", ";
       bfirst = false;
-      append_escaped(out, bin);
+      out += json_quote(bin);
       out += ": ";
       append_stats(out, st);
     }
@@ -290,7 +255,7 @@ void RunReport::write_json(std::ostream& os) const {
     for (const auto& [prov, st] : fam.provenance) {
       if (!bfirst) out += ", ";
       bfirst = false;
-      append_escaped(out, prov);
+      out += json_quote(prov);
       out += ": ";
       append_stats(out, st);
     }

@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace hetsched::obs {
 
@@ -18,42 +18,14 @@ std::chrono::steady_clock::time_point process_t0() {
 // early in the process even if the first span fires late.
 [[maybe_unused]] const auto t0_anchor = process_t0();
 
-void json_escape_into(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using json::json_quote;
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  std::string tmp;
-  tmp.reserve(s.size());
-  json_escape_into(tmp, s.c_str());
-  os << tmp;
+/// Appends `"key":token` to an ArgList fragment.
+void append_arg(std::string& out, const char* key, const std::string& token) {
+  if (!out.empty()) out += ',';
+  out += json_quote(key);
+  out += ':';
+  out += token;
 }
 
 }  // namespace
@@ -127,11 +99,8 @@ void Tracer::write_json(std::ostream& os) const {
       if (ev.phase == 'X') os << ",\"dur\":" << ev.dur_us;
       if (ev.phase == 'b' || ev.phase == 'e') os << ",\"id\":" << ev.id;
       if (ev.phase == 'i') os << ",\"s\":\"t\"";
-      os << ",\"cat\":\"";
-      write_escaped(os, ev.cat);
-      os << "\",\"name\":\"";
-      write_escaped(os, ev.name);
-      os << '"';
+      os << ",\"cat\":" << json_quote(ev.cat)
+         << ",\"name\":" << json_quote(ev.name);
       if (!ev.args_json.empty()) os << ",\"args\":{" << ev.args_json << '}';
       os << '}';
     }
@@ -148,36 +117,17 @@ ArgList& ArgList::add(const char* key, const std::string& value) {
 }
 
 ArgList& ArgList::add(const char* key, const char* value) {
-  if (!json_.empty()) json_ += ',';
-  json_ += '"';
-  json_escape_into(json_, key);
-  json_ += "\":\"";
-  json_escape_into(json_, value);
-  json_ += '"';
+  append_arg(json_, key, json_quote(value));
   return *this;
 }
 
 ArgList& ArgList::add(const char* key, double value) {
-  if (!json_.empty()) json_ += ',';
-  json_ += '"';
-  json_escape_into(json_, key);
-  json_ += "\":";
-  if (std::isfinite(value)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    json_ += buf;
-  } else {
-    json_ += "null";
-  }
+  append_arg(json_, key, json::json_number_or_null(value));
   return *this;
 }
 
 ArgList& ArgList::add(const char* key, long long value) {
-  if (!json_.empty()) json_ += ',';
-  json_ += '"';
-  json_escape_into(json_, key);
-  json_ += "\":";
-  json_ += std::to_string(value);
+  append_arg(json_, key, json::json_int(value));
   return *this;
 }
 

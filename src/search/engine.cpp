@@ -32,7 +32,8 @@ void atomic_min(std::atomic<double>& a, double v) {
 
 // Accumulates one sweep's EngineStats into the process-wide `search.*`
 // metrics (cross-engine, cross-call totals; see docs/OBSERVABILITY.md).
-void flush_stats_to_metrics(const EngineStats& st) {
+// `st` is unused under HETSCHED_OBS=OFF, where the hooks compile away.
+void flush_stats_to_metrics([[maybe_unused]] const EngineStats& st) {
   HETSCHED_COUNTER_ADD("search.nodes_visited", st.visited);
   HETSCHED_COUNTER_ADD("search.nodes_pruned", st.pruned);
   HETSCHED_COUNTER_ADD("search.nodes_uncovered", st.uncovered);

@@ -119,10 +119,9 @@ struct Server::Impl {
           for (const std::string& resp : service.handle_batch(batch))
             write_all(fd, encode_frame(resp));
           batch.clear();
-          write_all(fd, encode_frame(
-                            "{\"hsp\":1,\"id\":null,\"ok\":false,\"error\":"
-                            "{\"code\":\"oversized-frame\",\"message\":"
-                            "\"frame exceeds the server payload limit\"}}"));
+          write_all(fd, encode_frame(error_response(
+                            "null", errc::kOversizedFrame,
+                            "frame exceeds the server payload limit")));
           open = false;
         }
         break;  // kNeedMore or kOversized

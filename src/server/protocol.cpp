@@ -1,8 +1,5 @@
 #include "server/protocol.hpp"
 
-#include <charconv>
-#include <cstring>
-
 #include "support/error.hpp"
 
 namespace hetsched::server {
@@ -38,61 +35,17 @@ FrameReader::Status FrameReader::next(std::string& payload) {
   return Status::kFrame;
 }
 
-std::string json_quote(const std::string& s) {
+std::string error_response(const std::string& id, const char* code,
+                           const std::string& message) {
   std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xf]);
-          out.push_back(hex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  out += "{\"hsp\":1,\"id\":";
+  out += id;
+  out += ",\"ok\":false,\"error\":{\"code\":";
+  out += json_quote(code);
+  out += ",\"message\":";
+  out += json_quote(message);
+  out += "}}";
   return out;
-}
-
-std::string json_number(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  HETSCHED_ASSERT(res.ec == std::errc(),
-                  "double does not fit canonical JSON number buffer");
-  std::string s(buf, res.ptr);
-  // to_chars never emits a non-finite token for finite input; a
-  // non-finite input is a caller bug (JSON cannot carry it).
-  HETSCHED_ASSERT(s.find("inf") == std::string::npos &&
-                      s.find("nan") == std::string::npos,
-                  "non-finite value reached canonical JSON emission");
-  return s;
-}
-
-std::string json_int(std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  HETSCHED_ASSERT(res.ec == std::errc(), "int64 formatting cannot fail");
-  return std::string(buf, res.ptr);
 }
 
 }  // namespace hetsched::server

@@ -1,4 +1,5 @@
-// Wire protocol for the advisor service: framing and canonical JSON.
+// Wire protocol for the advisor service: framing and the response
+// envelope.
 //
 // The protocol — "hsp" (hetsched protocol), version 1 — is fully
 // specified in docs/SERVER.md; that document, not this header, is the
@@ -14,12 +15,17 @@
 // model snapshot. That is what makes byte-level golden transcripts and
 // the hot-swap bit-identity test (swap under load == cold restart)
 // possible, and it is why the cache can store serialized response
-// payloads directly.
+// payloads directly. The token encoders live in obs/json.hpp, the one
+// JSON encoder of the repository; this header re-exports them for the
+// wire code and owns what is wire-specific: framing, error codes and
+// the error envelope.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "obs/json.hpp"
 
 namespace hetsched::server {
 
@@ -86,21 +92,16 @@ class FrameReader {
   bool poisoned_ = false;
 };
 
-// --- canonical JSON emission helpers -------------------------------------
-// Used to build responses with deterministic bytes. Member order is the
-// caller's responsibility (docs/SERVER.md fixes it per message type).
+// --- canonical JSON emission ---------------------------------------------
+// Member order is the caller's responsibility (docs/SERVER.md fixes it
+// per message type).
+using obs::json::json_int;
+using obs::json::json_number;
+using obs::json::json_quote;
 
-/// `s` escaped and double-quoted. Escapes `"` `\` and control characters
-/// (\n \t \r named, the rest \u00XX); everything else verbatim.
-std::string json_quote(const std::string& s);
-
-/// Shortest decimal form that round-trips to exactly `v` via
-/// std::to_chars — the canonical number encoding. Non-finite values are
-/// not representable in JSON; callers must map them out beforehand
-/// (the service reports uncovered configurations as errors, never NaN).
-std::string json_number(double v);
-
-/// Integer form without exponent.
-std::string json_int(std::int64_t v);
+/// The error envelope of docs/SERVER.md §3.2 for an already-rendered
+/// request id (`"null"` when the request had none).
+std::string error_response(const std::string& id, const char* code,
+                           const std::string& message);
 
 }  // namespace hetsched::server

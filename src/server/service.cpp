@@ -20,6 +20,8 @@ namespace hetsched::server {
 namespace {
 
 namespace json = hetsched::obs::json;
+using json::hex_fingerprint;
+using json::json_number_or_null;
 
 /// Op table for the flight recorder and the per-op latency histograms.
 /// Index 0 is the bucket for requests that never resolved to an op
@@ -32,19 +34,6 @@ const std::vector<std::string>& op_table() {
       "reload", "metrics", "health", "flight",   "observe", "refit"};
   return ops;
 }
-
-constexpr std::uint16_t kOpNone = 0;
-constexpr std::uint16_t kOpPing = 1;
-constexpr std::uint16_t kOpHello = 2;
-constexpr std::uint16_t kOpEstimate = 3;
-constexpr std::uint16_t kOpAdvise = 4;
-constexpr std::uint16_t kOpStats = 5;
-constexpr std::uint16_t kOpReload = 6;
-constexpr std::uint16_t kOpMetrics = 7;
-constexpr std::uint16_t kOpHealth = 8;
-constexpr std::uint16_t kOpFlight = 9;
-constexpr std::uint16_t kOpObserve = 10;
-constexpr std::uint16_t kOpRefit = 11;
 
 /// Error-code table: index 0 is "ok" (rendered as "" in flight dumps);
 /// the rest mirror the errc:: taxonomy in protocol.hpp.
@@ -87,19 +76,6 @@ std::string ok_response(const std::string& id, const std::string& result) {
   return out;
 }
 
-std::string error_response(const std::string& id, const char* code,
-                           const std::string& message) {
-  std::string out;
-  out += "{\"hsp\":1,\"id\":";
-  out += id;
-  out += ",\"ok\":false,\"error\":{\"code\":";
-  out += json_quote(code);
-  out += ",\"message\":";
-  out += json_quote(message);
-  out += "}}";
-  return out;
-}
-
 /// Thrown internally to unwind request handling into an error response.
 struct RequestError {
   const char* code;
@@ -118,14 +94,6 @@ int require_int(const json::Value& v, const char* name, int limit) {
     bad_request(std::string(name) + " must be an integer in [1, " +
                 std::to_string(limit) + "]");
   return static_cast<int>(d);
-}
-
-std::string hex_fingerprint(std::uint64_t fp) {
-  static const char* digits = "0123456789abcdef";
-  std::string s = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4)
-    s.push_back(digits[(fp >> shift) & 0xf]);
-  return s;
 }
 
 /// "config" request member: [[kind, pes, m], ...] → cluster::Config.
@@ -396,12 +364,6 @@ std::string hello_result(const ModelSnapshot& snap) {
   return out;
 }
 
-/// json_number refuses non-finite values; scrape paths clamp them to
-/// null so a pathological gauge can never corrupt a response.
-std::string json_number_or_null(double v) {
-  return std::isfinite(v) ? json_number(v) : std::string("null");
-}
-
 /// One fine histogram as canonical JSON (seconds):
 /// {"count":c,"sum_s":s,"p50_s":q,"p99_s":q,"bins":[[lower,upper,c],…]}
 /// The overflow bin's upper edge (+inf) renders as null.
@@ -430,79 +392,6 @@ std::string fine_hist_json(const obs::FineHistogram& h) {
     out += ']';
   }
   out += "]}";
-  return out;
-}
-
-/// The registry snapshot as canonical JSON — same information as
-/// obs::write_metrics_json but byte-stable (fixed member order, no
-/// whitespace, shortest-round-trip numbers). Maps are name-sorted by
-/// construction.
-std::string registry_json(const obs::MetricsSnapshot& snap) {
-  std::string out = "{\"counters\":{";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    if (i) out += ',';
-    out += json_quote(snap.counters[i].name);
-    out += ':';
-    out += json_int(static_cast<std::int64_t>(snap.counters[i].value));
-  }
-  out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    if (i) out += ',';
-    out += json_quote(snap.gauges[i].name);
-    out += ':';
-    out += json_number_or_null(snap.gauges[i].value);
-  }
-  out += "},\"histograms\":{";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    if (i) out += ',';
-    out += json_quote(h.name);
-    out += ":{\"count\":";
-    out += json_int(static_cast<std::int64_t>(h.count));
-    out += ",\"sum\":";
-    out += json_number_or_null(h.sum);
-    out += ",\"bins\":[";
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      if (b) out += ',';
-      out += '[';
-      out += json_number_or_null(obs::Histogram::bin_lower(h.bins[b].first));
-      out += ',';
-      out += json_number_or_null(obs::Histogram::bin_upper(h.bins[b].first));
-      out += ',';
-      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "},\"fine_histograms\":{";
-  for (std::size_t i = 0; i < snap.fine_histograms.size(); ++i) {
-    const auto& h = snap.fine_histograms[i];
-    if (i) out += ',';
-    out += json_quote(h.name);
-    out += ":{\"count\":";
-    out += json_int(static_cast<std::int64_t>(h.count));
-    out += ",\"sum\":";
-    out += json_number_or_null(h.sum);
-    out += ",\"p50\":";
-    out += json_number_or_null(h.p50);
-    out += ",\"p99\":";
-    out += json_number_or_null(h.p99);
-    out += ",\"bins\":[";
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      if (b) out += ',';
-      out += '[';
-      out += json_number_or_null(
-          obs::FineHistogram::bin_lower(h.bins[b].first));
-      out += ',';
-      out += json_number_or_null(
-          obs::FineHistogram::bin_upper(h.bins[b].first));
-      out += ',';
-      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "}}";
   return out;
 }
 
@@ -589,14 +478,14 @@ void Service::swap_snapshot(std::shared_ptr<const ModelSnapshot> snapshot) {
 
 void Service::connection_opened() {
   HETSCHED_ATOMIC_DOC(relaxed, "connection gauge; no payload rides on it");
-  const std::int64_t open =
+  [[maybe_unused]] const std::int64_t open =  // unused when HETSCHED_OBS=OFF
       open_connections_.fetch_add(1, std::memory_order_relaxed) + 1;
   HETSCHED_GAUGE_SET("server.open_connections", open);
 }
 
 void Service::connection_closed() {
   HETSCHED_ATOMIC_DOC(relaxed, "connection gauge; no payload rides on it");
-  const std::int64_t open =
+  [[maybe_unused]] const std::int64_t open =  // unused when HETSCHED_OBS=OFF
       open_connections_.fetch_sub(1, std::memory_order_relaxed) - 1;
   HETSCHED_GAUGE_SET("server.open_connections", open);
 }
@@ -635,7 +524,6 @@ std::string Service::handle_payload(const std::string& payload) {
   flight_.record(meta.op, meta.code, meta.cache, meta.n, meta.fingerprint,
                  arrival, wall_us);
   HETSCHED_COUNTER_ADD("server.flight.records", 1);
-  HETSCHED_HISTOGRAM_RECORD("server.request_s", wall_s);
   HETSCHED_FINE_HISTOGRAM_RECORD("server.request_fine_s", wall_s);
   return response;
 }
@@ -894,7 +782,7 @@ std::string Service::metrics_result(const ModelSnapshot& snap,
   out += '}';
   if (process_scope) {
     out += ",\"process\":";
-    out += registry_json(obs::snapshot());
+    out += obs::registry_json(obs::snapshot());
   }
   out += '}';
   return out;

@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,13 +149,12 @@ TEST(FineHistogramRegistry, MacroRecordsIntoNamedMetric) {
 TEST(FineHistogramRegistry, WriteMetricsJsonCarriesFineHistograms) {
   MetricsRegistry::instance().reset();
   HETSCHED_FINE_HISTOGRAM_RECORD("test.fine_json_s", 0.002);
-  std::ostringstream out;
-  write_metrics_json(out, snapshot());
-  const json::Value doc = json::parse(out.str());
+  const std::string out = registry_json(snapshot());
+  const json::Value doc = json::parse(out);
   const json::Value* fine = doc.find("fine_histograms");
   ASSERT_NE(fine, nullptr);
   const json::Value* h = fine->find("test.fine_json_s");
-  ASSERT_NE(h, nullptr) << out.str();
+  ASSERT_NE(h, nullptr) << out;
   EXPECT_DOUBLE_EQ(h->find("count")->as_number(), 1.0);
   EXPECT_DOUBLE_EQ(h->find("sum")->as_number(), 0.002);
   ASSERT_NE(h->find("p99"), nullptr);

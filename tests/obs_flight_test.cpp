@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace hetsched::obs::flight {
 namespace {
 
@@ -94,6 +96,16 @@ TEST(FlightRing, ToJsonRendersTablesAndFallbacks) {
       "{\"seq\":2,\"arrival_us\":35,\"wall_us\":1,\"op\":\"?\",\"n\":-1,"
       "\"cache\":\"\",\"fingerprint\":\"0x0000000000000000\","
       "\"error\":\"?\"}]}");
+}
+
+TEST(FlightRing, ToJsonEscapesArbitraryTableNames) {
+  Ring ring(2);
+  ring.record(1, 1, 0, 0, 0, 0, 0);
+  const json::Value doc = json::parse(
+      to_json(ring, 2, {"?", "line\nbreak"}, {"", "quote\"d\\"}));
+  const json::Value& rec = doc.find("records")->as_array().at(0);
+  EXPECT_EQ(rec.find("op")->as_string(), "line\nbreak");
+  EXPECT_EQ(rec.find("error")->as_string(), "quote\"d\\");
 }
 
 TEST(FlightRing, ConcurrentWritersLoseNothing) {

@@ -1,5 +1,6 @@
 // Metrics registry: counter/gauge semantics, histogram bin edges, and
-// the snapshot + JSON scrape path (validated with the obs JSON parser).
+// the snapshot + JSON scrape path: registry_json's byte-pinned form and
+// the --metrics-out artifact, validated with the obs JSON parser.
 //
 // The registry is process-wide, so every test uses its own metric-name
 // prefix; values are asserted as deltas where the registry may already
@@ -9,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "obs/fine_hist.hpp"
+#include "obs/io.hpp"
 #include "obs/json.hpp"
 
 namespace obs = hetsched::obs;
@@ -131,9 +136,8 @@ TEST(ObsSnapshot, JsonScrapeRoundTrips) {
   h->record(2.0);
   h->record(2.0);
 
-  std::ostringstream os;
-  obs::write_metrics_json(os, obs::snapshot());
-  const obs::json::Value doc = obs::json::parse(os.str());
+  const obs::json::Value doc =
+      obs::json::parse(obs::registry_json(obs::snapshot()));
 
   const obs::json::Value* counters = doc.find("counters");
   ASSERT_NE(counters, nullptr);
@@ -160,6 +164,68 @@ TEST(ObsSnapshot, JsonScrapeRoundTrips) {
   EXPECT_DOUBLE_EQ(bin[0].as_number(), 2.0);
   EXPECT_DOUBLE_EQ(bin[1].as_number(), 4.0);
   EXPECT_DOUBLE_EQ(bin[2].as_number(), 2.0);
+}
+
+TEST(ObsSnapshot, RegistryJsonIsByteStable) {
+  // The canonical rendering the `metrics` op serves as its process
+  // section: fixed member order, no whitespace, shortest round-trip
+  // numbers, and null for every non-finite value — inf/nan gauges, the
+  // -inf lower edge of log2 bin 0 and the +inf upper edges of both
+  // overflow bins.
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::MetricsSnapshot snap;
+  snap.counters = {{"server.requests", 42}, {"quote\"d", 7}};
+  snap.gauges = {{"g.ratio", 0.1},
+                 {"g.inf", inf},
+                 {"g.nan", std::numeric_limits<double>::quiet_NaN()}};
+  obs::HistogramSample h;
+  h.name = "h.log2_s";
+  h.count = 3;
+  h.sum = 0.1 + 0.2;
+  h.bins = {{0, 1},
+            {obs::Histogram::bin_index(1.5), 1},
+            {obs::Histogram::kBins - 1, 1}};
+  snap.histograms = {h};
+  obs::FineHistogramSample f;
+  f.name = "f.fine_s";
+  f.count = 4;
+  f.sum = 1.0 / 3.0;
+  f.p50 = 0.001007080078125;
+  f.p99 = inf;
+  f.bins = {{0, 1},
+            {obs::FineHistogram::bin_index(0.001), 2},
+            {obs::FineHistogram::kBins - 1, 1}};
+  snap.fine_histograms = {f};
+  EXPECT_EQ(obs::registry_json(snap),
+            "{\"counters\":{\"server.requests\":42,\"quote\\\"d\":7},"
+            "\"gauges\":{\"g.ratio\":0.1,\"g.inf\":null,\"g.nan\":null},"
+            "\"histograms\":{\"h.log2_s\":{\"count\":3,"
+            "\"sum\":0.30000000000000004,"
+            "\"bins\":[[null,9.313225746154785e-10,1],"
+            "[1,2,1],[8589934592,null,1]]}},"
+            "\"fine_histograms\":{\"f.fine_s\":{\"count\":4,"
+            "\"sum\":0.3333333333333333,\"p50\":0.001007080078125,"
+            "\"p99\":null,\"bins\":[[0,5.960464477539063e-08,1],"
+            "[0.0009765625,0.00103759765625,2],[256,null,1]]}}}");
+  EXPECT_EQ(obs::registry_json(obs::MetricsSnapshot{}),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
+            "\"fine_histograms\":{}}");
+}
+
+TEST(ObsSnapshot, MetricsOutWritesTheRegistryDocument) {
+  obs::MetricsRegistry::instance().counter("t.out.quote\"d")->add(1);
+  const std::string path = ::testing::TempDir() + "obs_metrics_out.json";
+  ASSERT_TRUE(obs::consume_arg("--metrics-out=" + path));
+  ASSERT_EQ(obs::flush_outputs(), 1);
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), obs::registry_json(obs::snapshot()) + "\n");
+  const obs::json::Value doc = obs::json::parse(text.str());
+  const obs::json::Value* c = doc.find("counters")->find("t.out.quote\"d");
+  ASSERT_NE(c, nullptr) << text.str();
+  EXPECT_GE(c->as_number(), 1.0);
+  std::remove(path.c_str());
 }
 
 TEST(ObsRegistry, ResetZeroesButKeepsRegistrations) {

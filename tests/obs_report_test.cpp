@@ -134,7 +134,7 @@ TEST(RunReport, SerializeParseRoundTrip) {
     EXPECT_EQ(back.records[i].n, rep.records[i].n);
     EXPECT_EQ(back.records[i].bin, rep.records[i].bin);
     EXPECT_EQ(back.records[i].adjusted, rep.records[i].adjusted);
-    // %.17g makes doubles round-trip exactly.
+    // Shortest round-trip numbers read back exactly.
     EXPECT_DOUBLE_EQ(back.records[i].predicted, rep.records[i].predicted);
     EXPECT_DOUBLE_EQ(back.records[i].measured, rep.records[i].measured);
   }

@@ -129,8 +129,12 @@ TEST(StealStress, CacheStatsSnapshotIsConsistentUnderConcurrency) {
     threads.emplace_back([&cache, &stop, w] {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::string key =
-            "k" + std::to_string(w) + "_" + std::to_string(i % 512);
+        // Built piecewise: GCC 12 reports a -Wrestrict false positive
+        // on the equivalent `"k" + std::to_string(w) + ...` chain.
+        std::string key = "k";
+        key += std::to_string(w);
+        key += '_';
+        key += std::to_string(i % 512);
         if (!cache.lookup(key)) cache.insert(key, static_cast<double>(i));
         ++i;
       }

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -39,19 +38,11 @@ std::string error_code(const std::string& response) {
   return doc.find("error")->find("code")->as_string();
 }
 
-/// Round-trip-exact double literal, so rel_err assertions can use
-/// EXPECT_DOUBLE_EQ against values computed from the same estimator.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::string observe_req(double measured, const std::string& family = "") {
   std::string req =
       "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":1600,"
       "\"config\":[[\"alpha\",2,1]],\"measured\":" +
-      num(measured);
+      json_number(measured);  // exact, so rel_err checks can be EQ
   if (!family.empty()) req += ",\"family\":\"" + family + "\"";
   return req + "}";
 }

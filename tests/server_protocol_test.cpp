@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -107,6 +108,31 @@ TEST(CanonicalJson, NumbersAreShortestRoundTrip) {
   EXPECT_EQ(json_int(-7), "-7");
 }
 
+TEST(CanonicalJson, EncoderRoundTripsThroughTheParser) {
+  const std::vector<std::string> strings = {
+      "plain", "a\"b", "a\\b", "a\nb\tc\rd", std::string(1, '\x01'),
+      std::string("nul\0byte", 8)};
+  for (const std::string& s : strings)
+    EXPECT_EQ(obs::json::parse(json_quote(s)).as_string(), s) << json_quote(s);
+  const std::vector<double> numbers = {0.1,    1.0 / 3.0, 5e-324,
+                                       1e300,  -0.0,      9007199254740992.0};
+  for (const double v : numbers) {
+    const double back = obs::json::parse(json_number(v)).as_number();
+    EXPECT_EQ(back, v) << json_number(v);
+    EXPECT_EQ(std::signbit(back), std::signbit(v)) << json_number(v);
+  }
+}
+
+TEST(CanonicalJson, NonFiniteNumbersAreRefused) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(json_number(inf), obs::json::TypeError);
+  EXPECT_THROW(json_number(-inf), obs::json::TypeError);
+  EXPECT_THROW(json_number(nan), obs::json::TypeError);
+  EXPECT_EQ(obs::json::json_number_or_null(nan), "null");
+  EXPECT_EQ(obs::json::json_number_or_null(0.5), "0.5");
+}
+
 class SocketFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -159,8 +185,10 @@ TEST_F(SocketFixture, OversizedFrameAnsweredThenConnectionCloses) {
   Client client(address_);
   // 4 KiB limit on the server; send a 5 KiB frame.
   client.send_bytes(encode_frame(std::string(5000, 'x')));
-  const std::string resp = client.read_frame();
-  EXPECT_NE(resp.find("\"code\":\"oversized-frame\""), std::string::npos);
+  EXPECT_EQ(client.read_frame(),
+            "{\"hsp\":1,\"id\":null,\"ok\":false,\"error\":"
+            "{\"code\":\"oversized-frame\",\"message\":"
+            "\"frame exceeds the server payload limit\"}}");
   // The stream is unrecoverable; the server closes it.
   EXPECT_THROW(
       {

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
                    "{\"hsp\":1,\"id\":" + std::to_string(i) +
                    ",\"op\":\"observe\",\"n\":" + std::to_string(obs_ns[j]) +
                    ",\"config\":[[\"" + kind + "\",1,1]],\"measured\":" +
-                   std::to_string(obs_pred[j] * 1.05) + "}"),
+                   server::json_number(obs_pred[j] * 1.05) + "}"),
                "observe");
     });
     report("observe", observed);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "driver.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -35,34 +36,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// JSON string escaping for the --json emitter (paths and messages are
-/// ASCII by construction, but messages quote source snippets).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hetsched::lint;
+  using hetsched::obs::json::json_quote;
   DriverOptions opts;
   std::vector<std::string> subdirs;
   bool json = false;
@@ -108,11 +86,10 @@ int main(int argc, char** argv) {
     std::printf("[");
     bool first = true;
     for (const Finding& f : res.findings) {
-      std::printf("%s\n  {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", "
-                  "\"message\": \"%s\", \"suppressed\": %s}",
-                  first ? "" : ",", json_escape(f.path).c_str(), f.line,
-                  json_escape(f.rule).c_str(),
-                  json_escape(f.message).c_str(),
+      std::printf("%s\n  {\"file\": %s, \"line\": %d, \"rule\": %s, "
+                  "\"message\": %s, \"suppressed\": %s}",
+                  first ? "" : ",", json_quote(f.path).c_str(), f.line,
+                  json_quote(f.rule).c_str(), json_quote(f.message).c_str(),
                   f.suppressed ? "true" : "false");
       first = false;
     }

@@ -133,8 +133,8 @@ int cmd_summarize(const std::vector<std::string>& args) {
 }
 
 /// Near-equality for the check cross-validation: serialized doubles
-/// round-trip exactly (%.17g), but recomputation may reassociate sums,
-/// so allow a few ulps worth of slack.
+/// round-trip exactly (obs/json.hpp), but recomputation may reassociate
+/// sums, so allow a few ulps worth of slack.
 bool close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }

@@ -89,10 +89,26 @@ endif()
 # Scrape the Prometheus exposition while a background bench keeps the
 # daemon busy, then probe the health SLO (p99 < 10 ms over the wire) —
 # the scrape must stay valid and fast under load, not just when idle.
+# The load the SLO names is the bench's socket traffic: the bench first
+# fits its own model and runs its in-process phases on every core, so
+# the scrape and the probe start once it prints its (flushed) socket
+# phase line. The test runs RUN_SERIAL, so no other test's campaign
+# shares the cores either.
+set(bench_out "${WORK_DIR}/server_smoke.bench.out")
+file(REMOVE "${bench_out}")
 execute_process(
-  COMMAND sh -c "'${BENCH}' --quick '--connect=unix:${sock}' > /dev/null 2>&1 & echo $!"
+  COMMAND sh -c "'${BENCH}' --quick '--connect=unix:${sock}' > '${bench_out}' 2>&1 & echo $!"
   OUTPUT_VARIABLE bench_pid
   OUTPUT_STRIP_TRAILING_WHITESPACE)
+execute_process(COMMAND sh -c "for i in $(seq 1 1200); do \
+grep -q 'socket phase' '${bench_out}' 2>/dev/null && exit 0; \
+sleep 0.05; done; exit 1"
+  RESULT_VARIABLE socket_phase)
+if(NOT socket_phase EQUAL 0)
+  kill_daemon()
+  message(FATAL_ERROR "background advisor_bench never reached its socket "
+                      "phase")
+endif()
 
 set(prom "${WORK_DIR}/server_smoke.prom")
 execute_process(

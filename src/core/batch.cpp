@@ -31,8 +31,6 @@ BatchEstimator::BatchEstimator(const Estimator& est, const ConfigSpace& space,
   const auto& kinds = space.kinds();
   kind_count_ = kinds.size();
 
-  const auto adjust = est.adjust_entries();
-
   std::size_t total = 0;
   for (const auto& k : kinds) total += k.choices.size();
   off_.reserve(kind_count_);
@@ -93,13 +91,10 @@ BatchEstimator::BatchEstimator(const Estimator& est, const ConfigSpace& space,
           k10c = s.kc[1] * cn;
           k11 = s.kc[2];
         }
-        for (const auto& e : adjust) {
-          if (e.kind == kind.kind && e.m == m) {
-            adj_ok = 1;
-            adj_a = e.map.a;
-            adj_b = e.map.b;
-            break;
-          }
+        if (const LinearMap* adj = est.adjustment(kind.kind, m)) {
+          adj_ok = 1;
+          adj_a = adj->a;
+          adj_b = adj->b;
         }
       }
       nt_ok_.push_back(nt_ok);
@@ -159,18 +154,10 @@ BatchEstimator::Scratch BatchEstimator::make_scratch() const {
 bool BatchEstimator::paged_row(const std::size_t* row, int total_procs,
                                Scratch& sc) const {
   if (base_paged_) return true;
-  // Exact mirror of Estimator::predicted_paged: block-cyclic column
-  // shares of a 1xP grid, accumulated per node in rank order. The
-  // closed form below equals Grid1xP::local_cols's block loop — blocks
-  // owned by rank r are r, r+P, r+2P, ..., all width nb except possibly
-  // the last global block.
-  const int pgrid = total_procs;
-  const int nblocks = (n_ + nb_ - 1) / nb_;
-  const int last = nblocks - 1;
-  const int last_start = last * nb_;
-  const int last_w = (last_start + nb_ <= n_) ? nb_ : n_ - last_start;
-  const int last_owner = last % pgrid;
-  std::size_t ntouched = 0;
+  // Exact mirror of Estimator::predicted_paged through the same
+  // add_kind_footprint, accumulated per node in rank order; only the
+  // touched nodes are tested and reset.
+  const ColumnShares shares(n_, nb_, total_procs);
   int r = 0;
   for (std::size_t k = 0; k < kind_count_; ++k) {
     const std::size_t j = off_[k] + row[k];
@@ -178,27 +165,15 @@ bool BatchEstimator::paged_row(const std::size_t* row, int total_procs,
     if (pes == 0) continue;
     HETSCHED_CHECK(pes <= kind_avail_[k],
                    "make_placement: not enough PEs of kind " + kind_name_[k]);
-    const std::uint32_t* nodes = kind_pe_nodes_.data() + kind_pe_off_[k];
-    for (int s = 0; s < m_[j]; ++s) {
-      for (int pp = 0; pp < pes; ++pp, ++r) {
-        const std::uint32_t node = nodes[pp];
-        const int count = r < nblocks ? (nblocks - 1 - r) / pgrid + 1 : 0;
-        int cols = count * nb_;
-        if (r == last_owner && count > 0) cols -= nb_ - last_w;
-        const Bytes ws = static_cast<double>(n_) * cols * kDoubleBytes +
-                         static_cast<double>(n_) * nb_ * kDoubleBytes;
-        sc.footprint[node] += ws + proc_overhead_;
-        sc.touched[ntouched] = node;
-        ++ntouched;
-      }
-    }
+    r = add_kind_footprint(shares, kind_pe_nodes_.data() + kind_pe_off_[k],
+                           pes, m_[j], r, proc_overhead_,
+                           sc.footprint.data(), sc.touched.data());
   }
   bool paged = false;
-  for (std::size_t i = 0; i < ntouched; ++i)
+  for (int i = 0; i < r; ++i)
     if (sc.footprint[sc.touched[i]] > node_memory_[sc.touched[i]])
       paged = true;
-  for (std::size_t i = 0; i < ntouched; ++i)
-    sc.footprint[sc.touched[i]] = os_reserved_;
+  for (int i = 0; i < r; ++i) sc.footprint[sc.touched[i]] = os_reserved_;
   return paged;
 }
 

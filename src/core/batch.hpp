@@ -1,11 +1,11 @@
 // Batched configuration estimation over a structure-of-arrays
 // coefficient snapshot.
 //
-// Estimator::estimate prices one configuration through string-keyed
-// model maps, a heap-allocated Breakdown and (with the memory bin on) a
-// freshly built Placement — fine for a handful of calls, fatal at
-// million-candidate search scale. A BatchEstimator snapshots, once per
-// (estimator, space, n) triple, everything those lookups would produce:
+// Estimator::estimate prices one configuration through ordered model
+// maps and a per-call kind lookup, under a microsecond — fine for a
+// handful of calls, too slow at million-candidate search scale. A
+// BatchEstimator snapshots, once per (estimator, space, n) triple,
+// everything those lookups would produce:
 // per-(kind, choice) flat arrays of the N-T bin total, the P-T
 // coefficients folded with the problem size (k7*A(N), C(N), k10*C(N)),
 // the adjustment map and the PE-to-node geometry of the memory bin. A

@@ -1,25 +1,45 @@
 #include "core/estimator.hpp"
 
 #include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
-#include "hpl/grid.hpp"
 #include "support/error.hpp"
 
 namespace hetsched::core {
 
 namespace {
 
-std::string nt_key(const NtKey& k) {
-  std::ostringstream os;
-  os << k.kind << '/' << k.pes << '/' << k.m;
-  return os.str();
+/// "kind/pes/m" (N-T) or "kind/m": the entry listings keep the
+/// lexicographic order of this text, which the model fingerprint and
+/// the model file depend on (DESIGN.md note 18).
+std::string key_text(const std::string& kind,
+                     std::initializer_list<int> numbers) {
+  std::string text;
+  text.reserve(kind.size() + 24);
+  text += kind;
+  for (const int v : numbers) {
+    text += '/';
+    text += std::to_string(v);
+  }
+  return text;
 }
 
-std::string pt_key(const std::string& kind, int m) {
-  std::ostringstream os;
-  os << kind << '/' << m;
-  return os.str();
+/// The map's entries in the order of their key text.
+template <typename Key, typename Entry, typename Text>
+std::vector<Entry> in_text_order(const std::map<Key, Entry>& map,
+                                 Text text) {
+  std::vector<std::pair<std::string, const Entry*>> order;
+  order.reserve(map.size());
+  for (const auto& [k, e] : map) order.emplace_back(text(e), &e);
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Entry> out;
+  out.reserve(order.size());
+  for (const auto& [t, e] : order) out.push_back(*e);
+  return out;
 }
 
 }  // namespace
@@ -51,61 +71,113 @@ Provenance provenance_from_string(const std::string& tag) {
 }
 
 Estimator::Estimator(cluster::ClusterSpec spec, EstimatorOptions opts)
-    : spec_(std::move(spec)), opts_(opts) {}
+    : spec_(std::move(spec)), opts_(opts), kinds_(spec_.kind_names()) {
+  for (const std::string& kind : kinds_) {
+    std::vector<std::uint32_t> nodes;
+    for (const cluster::PeRef& pe : spec_.pes_of_kind(kind))
+      nodes.push_back(static_cast<std::uint32_t>(pe.node));
+    kind_nodes_.push_back(std::move(nodes));
+  }
+}
+
+std::size_t Estimator::intern_kind(const std::string& kind) {
+  const std::size_t k = find_kind(kind);
+  if (k != kNoKind) return k;
+  kinds_.push_back(kind);
+  return kinds_.size() - 1;
+}
 
 void Estimator::add_nt(const NtKey& key, NtModel model,
                        Provenance provenance) {
-  nt_[nt_key(key)] = NtEntry{key, std::move(model), provenance};
+  nt_[Key{intern_kind(key.kind), key.pes, key.m}] =
+      NtEntry{key, std::move(model), provenance};
 }
 
 void Estimator::add_pt(const std::string& kind, int m, PtModel model,
                        Provenance provenance) {
-  pt_[pt_key(kind, m)] = PtEntry{kind, m, std::move(model), provenance};
+  pt_[Key{intern_kind(kind), 0, m}] =
+      PtEntry{kind, m, std::move(model), provenance};
 }
 
 void Estimator::add_adjustment(const std::string& kind, int m, LinearMap map) {
-  adjust_[pt_key(kind, m)] = AdjustEntry{kind, m, map};
+  adjust_[Key{intern_kind(kind), 0, m}] = AdjustEntry{kind, m, map};
 }
 
+// hetsched-lint: hot-path-begin — model lookups format no key text and
+// allocate nothing.
+
+namespace {
+
+/// The entry under an integer key, or null. An unknown kind (kNoKind)
+/// matches no key.
+template <typename Map>
+const typename Map::mapped_type* find_entry(const Map& map, std::size_t kind,
+                                            int pes, int m) {
+  const auto it = map.find(typename Map::key_type{kind, pes, m});
+  return it == map.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+std::size_t Estimator::find_kind(const std::string& kind) const {
+  for (std::size_t k = 0; k < kinds_.size(); ++k)
+    if (kinds_[k] == kind) return k;
+  return kNoKind;
+}
+
+const Estimator::NtEntry* Estimator::find_nt(const std::string& kind, int pes,
+                                             int m) const {
+  return find_entry(nt_, find_kind(kind), pes, m);
+}
+
+const Estimator::PtEntry* Estimator::find_pt(const std::string& kind,
+                                             int m) const {
+  return find_entry(pt_, find_kind(kind), 0, m);
+}
+
+const LinearMap* Estimator::adjustment(const std::string& kind, int m) const {
+  const AdjustEntry* e = find_entry(adjust_, find_kind(kind), 0, m);
+  return e == nullptr ? nullptr : &e->map;
+}
+
+// hetsched-lint: hot-path-end
+
 const NtModel* Estimator::nt(const NtKey& key) const {
-  const auto it = nt_.find(nt_key(key));
-  return it == nt_.end() ? nullptr : &it->second.model;
+  const NtEntry* e = find_nt(key.kind, key.pes, key.m);
+  return e == nullptr ? nullptr : &e->model;
 }
 
 const PtModel* Estimator::pt(const std::string& kind, int m) const {
-  const auto it = pt_.find(pt_key(kind, m));
-  return it == pt_.end() ? nullptr : &it->second.model;
+  const PtEntry* e = find_pt(kind, m);
+  return e == nullptr ? nullptr : &e->model;
 }
 
 Provenance Estimator::nt_provenance(const NtKey& key) const {
-  const auto it = nt_.find(nt_key(key));
-  return it == nt_.end() ? Provenance::kMeasured : it->second.provenance;
+  const NtEntry* e = find_nt(key.kind, key.pes, key.m);
+  return e == nullptr ? Provenance::kMeasured : e->provenance;
 }
 
 Provenance Estimator::pt_provenance(const std::string& kind, int m) const {
-  const auto it = pt_.find(pt_key(kind, m));
-  return it == pt_.end() ? Provenance::kMeasured : it->second.provenance;
+  const PtEntry* e = find_pt(kind, m);
+  return e == nullptr ? Provenance::kMeasured : e->provenance;
 }
 
 std::vector<Estimator::NtEntry> Estimator::nt_entries() const {
-  std::vector<NtEntry> out;
-  out.reserve(nt_.size());
-  for (const auto& [k, e] : nt_) out.push_back(e);
-  return out;
+  return in_text_order(nt_, [](const NtEntry& e) {
+    return key_text(e.key.kind, {e.key.pes, e.key.m});
+  });
 }
 
 std::vector<Estimator::PtEntry> Estimator::pt_entries() const {
-  std::vector<PtEntry> out;
-  out.reserve(pt_.size());
-  for (const auto& [k, e] : pt_) out.push_back(e);
-  return out;
+  return in_text_order(pt_, [](const PtEntry& e) {
+    return key_text(e.kind, {e.m});
+  });
 }
 
 std::vector<Estimator::AdjustEntry> Estimator::adjust_entries() const {
-  std::vector<AdjustEntry> out;
-  out.reserve(adjust_.size());
-  for (const auto& [k, e] : adjust_) out.push_back(e);
-  return out;
+  return in_text_order(adjust_, [](const AdjustEntry& e) {
+    return key_text(e.kind, {e.m});
+  });
 }
 
 std::string Estimator::describe() const {
@@ -113,7 +185,7 @@ std::string Estimator::describe() const {
   os << "estimator over " << spec_.nodes.size() << " nodes, "
      << spec_.total_pes() << " PEs\n";
   os << "  N-T models (" << nt_.size() << "):\n";
-  for (const auto& [k, e] : nt_) {
+  for (const NtEntry& e : nt_entries()) {
     os << "    " << e.key.kind << " pes=" << e.key.pes << " m=" << e.key.m
        << "  k0=" << e.model.compute_coeffs()[0]
        << " tai(4800)=" << e.model.tai(4800)
@@ -121,14 +193,14 @@ std::string Estimator::describe() const {
        << to_string(e.provenance) << "]\n";
   }
   os << "  P-T models (" << pt_.size() << "):\n";
-  for (const auto& [k, e] : pt_) {
+  for (const PtEntry& e : pt_entries()) {
     os << "    " << e.kind << " m=" << e.m
        << "  tai(4800,P=10)=" << e.model.tai(4800, 10)
        << "s tci(4800,Q=9)=" << e.model.tci(4800, 9) << "s ["
        << to_string(e.provenance) << "]\n";
   }
   os << "  adjustments (" << adjust_.size() << "):\n";
-  for (const auto& [k, e] : adjust_)
+  for (const AdjustEntry& e : adjust_entries())
     os << "    " << e.kind << " m=" << e.m << "  t ~ " << e.map.a
        << " * tau + " << e.map.b << "\n";
   return os.str();
@@ -138,57 +210,85 @@ bool Estimator::covers(const cluster::Config& config) const {
   if (config.total_procs() <= 0) return false;
   if (opts_.use_binning && config.usage.size() == 1) {
     const auto& u = config.usage.front();
-    if (nt(NtKey{u.kind, u.pes, u.procs_per_pe})) return true;
+    if (find_nt(u.kind, u.pes, u.procs_per_pe)) return true;
   }
   // With binning on, a single-PE configuration must use its own N-T model
   // (checked above); with binning off it falls through to the P-T path.
   if (opts_.use_binning && config.single_pe()) return false;
   for (const auto& u : config.usage) {
     if (u.pes == 0) continue;
-    if (!pt(u.kind, u.procs_per_pe)) return false;
+    if (!find_pt(u.kind, u.procs_per_pe)) return false;
   }
   return true;
+}
+
+void Estimator::add_footprint(const cluster::Config& config, int n,
+                              Bytes* footprint) const {
+  // The memory model of the engines: exact block-cyclic column shares
+  // (ColumnShares), so footprints are exact for non-dividing (N, P)
+  // pairs — core_estimator_test.PagedFootprint* pins this. Validation
+  // mirrors cluster::make_placement and hpl::Grid1xP, in their order.
+  HETSCHED_CHECK(config.total_procs() > 0,
+                 "make_placement: configuration runs no processes");
+  for (const auto& u : config.usage) {
+    if (u.pes == 0) continue;
+    HETSCHED_CHECK(u.pes > 0 && u.procs_per_pe > 0,
+                   "make_placement: counts must be positive");
+    const std::size_t k = find_kind(u.kind);
+    HETSCHED_CHECK(k < kind_nodes_.size() &&
+                       static_cast<std::size_t>(u.pes) <= kind_nodes_[k].size(),
+                   "make_placement: not enough PEs of kind " + u.kind);
+  }
+  HETSCHED_CHECK(opts_.nb >= 1, "Grid1xP: nb >= 1 required");
+  const ColumnShares shares(n, opts_.nb, config.total_procs());
+  int rank = 0;
+  for (const auto& u : config.usage) {
+    if (u.pes == 0) continue;
+    rank = add_kind_footprint(shares, kind_nodes_[find_kind(u.kind)].data(),
+                              u.pes, u.procs_per_pe, rank,
+                              spec_.proc_overhead, footprint, nullptr);
+  }
 }
 
 std::vector<Bytes> Estimator::predicted_footprint(
     const cluster::Config& config, int n) const {
   HETSCHED_CHECK(n >= 1, "predicted_footprint: n >= 1 required");
-  // Mirror of the engines' memory model: exact block-cyclic column
-  // shares. Grid1xP::local_cols attributes remainder column blocks (and
-  // the short final block when nb does not divide N) to their owning
-  // ranks, so footprints are exact for non-dividing (N, P) pairs — the
-  // regression test core_estimator_test.PagedFootprint* pins this.
-  const cluster::Placement placement = make_placement(spec_, config);
-  const hpl::Grid1xP grid(n, opts_.nb, placement.nprocs());
   std::vector<Bytes> footprint(spec_.nodes.size(), spec_.os_reserved);
-  for (int r = 0; r < placement.nprocs(); ++r) {
-    const Bytes ws =
-        static_cast<double>(n) * grid.local_cols(r) * kDoubleBytes +
-        static_cast<double>(n) * opts_.nb * kDoubleBytes;
-    footprint[placement.rank_pe[static_cast<std::size_t>(r)].node] +=
-        ws + spec_.proc_overhead;
-  }
+  add_footprint(config, n, footprint.data());
   return footprint;
 }
 
 bool Estimator::predicted_paged(const cluster::Config& config, int n) const {
-  const std::vector<Bytes> footprint = predicted_footprint(config, n);
-  for (std::size_t node = 0; node < footprint.size(); ++node)
+  // Per-node accumulators on the stack for clusters of up to kInline
+  // nodes; larger clusters take one heap vector per call.
+  constexpr std::size_t kInline = 64;
+  const std::size_t nodes = spec_.nodes.size();
+  std::array<Bytes, kInline> local;
+  std::vector<Bytes> heap;
+  Bytes* footprint = local.data();
+  if (nodes > kInline) {
+    heap.resize(nodes);
+    footprint = heap.data();
+  }
+  std::fill(footprint, footprint + nodes, spec_.os_reserved);
+  add_footprint(config, n, footprint);
+  for (std::size_t node = 0; node < nodes; ++node)
     if (footprint[node] > spec_.nodes[node].memory) return true;
   return false;
 }
 
-Estimator::Breakdown Estimator::breakdown(const cluster::Config& config,
-                                          int n) const {
+Seconds Estimator::evaluate(const cluster::Config& config, int n,
+                            Breakdown* detail) const {
   HETSCHED_CHECK(n >= 1, "estimate: n >= 1 required");
   HETSCHED_CHECK(config.total_procs() > 0, "estimate: empty configuration");
 
-  Breakdown bd;
   const double nn = n;
   const double p = config.total_procs();  // computation: process count
   const double q = opts_.comm_uses_processors
                        ? static_cast<double>(config.total_pes())
                        : p;
+  Seconds total = 0;
+  Provenance provenance = Provenance::kMeasured;
 
   // Binning (§3.4): the most specific model wins. A configuration that
   // coincides with a measured homogeneous group keeps its own N-T model
@@ -201,10 +301,10 @@ Estimator::Breakdown Estimator::breakdown(const cluster::Config& config,
   // bin, so it takes the exact path like Mi = 1. The N-T key carries m,
   // so each multiprogramming level keeps its own curve. Pinned by
   // core_estimator_test.SinglePeMultiprogrammed*.
-  const NtModel* exact = nullptr;
+  const NtEntry* exact = nullptr;
   if (opts_.use_binning && config.usage.size() == 1) {
     const auto& u = config.usage.front();
-    exact = nt(NtKey{u.kind, u.pes, u.procs_per_pe});
+    exact = find_nt(u.kind, u.pes, u.procs_per_pe);
     if (config.single_pe())
       HETSCHED_CHECK(exact != nullptr,
                      "no N-T model for single-PE configuration " +
@@ -212,55 +312,66 @@ Estimator::Breakdown Estimator::breakdown(const cluster::Config& config,
   }
   if (exact != nullptr) {
     const auto& u = config.usage.front();
-    bd.single_pe_bin = true;
-    bd.provenance =
-        std::max(bd.provenance,
-                 nt_provenance(NtKey{u.kind, u.pes, u.procs_per_pe}));
-    bd.kinds.push_back(
-        KindEstimate{u.kind, u.procs_per_pe, exact->tai(nn), exact->tci(nn)});
+    const Seconds tai = exact->model.tai(nn);
+    const Seconds tci = exact->model.tci(nn);
+    provenance = std::max(provenance, exact->provenance);
+    total = std::max(total, tai + tci);
+    if (detail != nullptr)
+      detail->kinds.push_back(KindEstimate{u.kind, u.procs_per_pe, tai, tci});
   } else {
     for (const auto& u : config.usage) {
       if (u.pes == 0) continue;
-      const PtModel* m = pt(u.kind, u.procs_per_pe);
-      HETSCHED_CHECK(m != nullptr, "no P-T model for kind " + u.kind +
+      const PtEntry* e = find_pt(u.kind, u.procs_per_pe);
+      HETSCHED_CHECK(e != nullptr, "no P-T model for kind " + u.kind +
                                        " at m = " +
                                        std::to_string(u.procs_per_pe));
-      bd.provenance =
-          std::max(bd.provenance, pt_provenance(u.kind, u.procs_per_pe));
+      provenance = std::max(provenance, e->provenance);
       // Clamp components at zero: a fitted quadratic Tci can cross zero
       // below the measured range (latency-bound workloads), and a
       // negative time component would poison the argmin.
-      bd.kinds.push_back(KindEstimate{u.kind, u.procs_per_pe,
-                                      std::max(0.0, m->tai(nn, p)),
-                                      std::max(0.0, m->tci(nn, q))});
+      const Seconds tai = std::max(0.0, e->model.tai(nn, p));
+      const Seconds tci = std::max(0.0, e->model.tci(nn, q));
+      total = std::max(total, tai + tci);
+      if (detail != nullptr)
+        detail->kinds.push_back(
+            KindEstimate{u.kind, u.procs_per_pe, tai, tci});
     }
   }
 
-  for (const auto& k : bd.kinds)
-    bd.total = std::max(bd.total, k.tai + k.tci);
-
   // Per-(kind, m) linear correction — the paper applies it to the mixed
   // configurations of the fast PE's high multiprocessing levels.
-  if (opts_.use_adjustment && !bd.single_pe_bin) {
+  bool adjusted = false;
+  if (opts_.use_adjustment && exact == nullptr) {
     for (const auto& u : config.usage) {
-      const auto it = adjust_.find(pt_key(u.kind, u.procs_per_pe));
-      if (it != adjust_.end()) {
-        bd.total = std::max(0.0, it->second.map.apply(bd.total));
-        bd.adjusted = true;
+      if (const LinearMap* a = adjustment(u.kind, u.procs_per_pe)) {
+        total = std::max(0.0, a->apply(total));
+        adjusted = true;
         break;
       }
     }
   }
 
-  if (opts_.check_memory && predicted_paged(config, n)) {
-    bd.paged = true;
-    bd.total *= opts_.paged_penalty;
+  const bool paged = opts_.check_memory && predicted_paged(config, n);
+  if (paged) total *= opts_.paged_penalty;
+  if (detail != nullptr) {
+    detail->single_pe_bin = exact != nullptr;
+    detail->paged = paged;
+    detail->adjusted = adjusted;
+    detail->provenance = provenance;
+    detail->total = total;
   }
+  return total;
+}
+
+Estimator::Breakdown Estimator::breakdown(const cluster::Config& config,
+                                          int n) const {
+  Breakdown bd;
+  evaluate(config, n, &bd);
   return bd;
 }
 
 Seconds Estimator::estimate(const cluster::Config& config, int n) const {
-  return breakdown(config, n).total;
+  return evaluate(config, n, nullptr);
 }
 
 }  // namespace hetsched::core

@@ -14,6 +14,8 @@
 //    high multiprocessing levels (M1 >= 3).
 #pragma once
 
+#include <compare>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -121,6 +123,7 @@ class Estimator {
 
   const NtModel* nt(const NtKey& key) const;
   const PtModel* pt(const std::string& kind, int m) const;
+  const LinearMap* adjustment(const std::string& kind, int m) const;
 
   /// Provenance of a stored model; kMeasured if the key is absent (the
   /// degenerate default keeps call sites branch-free).
@@ -144,6 +147,9 @@ class Estimator {
     int m = 0;
     LinearMap map;
   };
+  /// Entries in the lexicographic order of their "kind/pes/m" (N-T) or
+  /// "kind/m" text, so m = 10 sorts before m = 2: the order the model
+  /// fingerprint and the model file hash and write (DESIGN.md note 18).
   std::vector<NtEntry> nt_entries() const;
   std::vector<PtEntry> pt_entries() const;
   std::vector<AdjustEntry> adjust_entries() const;
@@ -154,13 +160,100 @@ class Estimator {
   std::string describe() const;
 
  private:
+  /// Integer model key: kind index into kinds_, PEs (0 in P-T and
+  /// adjustment keys) and processes per PE. Lookups compare integers
+  /// and format no text.
+  struct Key {
+    std::size_t kind = 0;
+    int pes = 0;
+    int m = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+  static constexpr std::size_t kNoKind = static_cast<std::size_t>(-1);
+
+  /// Index of `kind` in kinds_, or kNoKind when neither the spec nor a
+  /// stored model names it.
+  std::size_t find_kind(const std::string& kind) const;
+  /// Index of `kind`, appending a kind the spec does not list.
+  std::size_t intern_kind(const std::string& kind);
+  const NtEntry* find_nt(const std::string& kind, int pes, int m) const;
+  const PtEntry* find_pt(const std::string& kind, int m) const;
+
+  /// The prediction; fills `detail` (kinds, flags, provenance) when
+  /// non-null. estimate() passes null and builds no per-kind detail.
+  Seconds evaluate(const cluster::Config& config, int n,
+                   Breakdown* detail) const;
+  /// Adds every process's memory-bin footprint to `footprint` (one
+  /// accumulator per node, pre-set to the OS reservation), validating the
+  /// configuration exactly as cluster::make_placement does.
+  void add_footprint(const cluster::Config& config, int n,
+                     Bytes* footprint) const;
   bool predicted_paged(const cluster::Config& config, int n) const;
 
   cluster::ClusterSpec spec_;
   EstimatorOptions opts_;
-  std::map<std::string, NtEntry> nt_;        // serialized NtKey -> entry
-  std::map<std::string, PtEntry> pt_;        // "kind/m" -> entry
-  std::map<std::string, AdjustEntry> adjust_;
+  /// Kind names by index: the spec's kinds in first-appearance order,
+  /// then kinds only a stored model names, in the order they were added.
+  std::vector<std::string> kinds_;
+  /// PE -> node table of each spec kind, in make_placement's PE order.
+  std::vector<std::vector<std::uint32_t>> kind_nodes_;
+  std::map<Key, NtEntry> nt_;
+  std::map<Key, PtEntry> pt_;
+  std::map<Key, AdjustEntry> adjust_;
 };
+
+// hetsched-lint: hot-path-begin — the memory bin's footprint arithmetic,
+// shared by Estimator and BatchEstimator::paged_row; allocation-free.
+
+/// Closed-form column shares of the memory bin's 1xP block-cyclic grid:
+/// the value hpl::Grid1xP::local_cols computes with its block loop.
+/// Blocks owned by rank r are r, r+P, r+2P, ..., all nb wide except
+/// possibly the last global block.
+struct ColumnShares {
+  /// Requires size >= 1, block >= 1 and nprocs >= 1.
+  ColumnShares(int size, int block, int nprocs)
+      : n(size), nb(block), p(nprocs), nblocks((size + block - 1) / block) {
+    const int last = nblocks - 1;
+    const int last_start = last * nb;
+    last_short = (last_start + nb <= n) ? 0 : nb - (n - last_start);
+    last_owner = last % p;
+  }
+  int cols(int rank) const {
+    const int count = rank < nblocks ? (nblocks - 1 - rank) / p + 1 : 0;
+    int c = count * nb;
+    if (rank == last_owner && count > 0) c -= last_short;
+    return c;
+  }
+  int n;
+  int nb;
+  int p;
+  int nblocks;
+  int last_short = 0;  ///< columns the last block lacks of a full nb
+  int last_owner = 0;
+};
+
+/// Adds the footprints of one kind's ranks — `m` slots over the PEs
+/// `pe_node[0..pes)`, numbered from `rank` in make_placement's order —
+/// to the per-node accumulators, in rank order (which keeps every sum
+/// bit-identical to a placement walk). When `touched` is non-null,
+/// touched[r] receives rank r's node. Returns the next rank.
+inline int add_kind_footprint(const ColumnShares& sh,
+                              const std::uint32_t* pe_node, int pes, int m,
+                              int rank, Bytes proc_overhead, Bytes* footprint,
+                              std::uint32_t* touched) {
+  for (int s = 0; s < m; ++s) {
+    for (int pp = 0; pp < pes; ++pp, ++rank) {
+      const std::uint32_t node = pe_node[pp];
+      const Bytes ws =
+          static_cast<double>(sh.n) * sh.cols(rank) * kDoubleBytes +
+          static_cast<double>(sh.n) * sh.nb * kDoubleBytes;
+      footprint[node] += ws + proc_overhead;
+      if (touched != nullptr) touched[rank] = node;
+    }
+  }
+  return rank;
+}
+
+// hetsched-lint: hot-path-end
 
 }  // namespace hetsched::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
+#include <string>
 
 #include "linalg/incremental.hpp"
 #include "obs/hooks.hpp"
@@ -62,14 +62,10 @@ ObservationBuffer::ObservationBuffer(std::size_t per_class_capacity,
 std::string ObservationBuffer::class_key(const cluster::Config& config) {
   const cluster::KindUsage* u = sole_usage(config);
   if (u == nullptr) return "";
-  std::ostringstream os;
-  if (u->pes == 1) {
-    // Single-PE bin: the observation exercises the N-T model.
-    os << "nt:" << u->kind << '/' << u->pes << '/' << u->procs_per_pe;
-  } else {
-    os << "pt:" << u->kind << '/' << u->procs_per_pe;
-  }
-  return os.str();
+  // Single-PE bin: the observation exercises the N-T model.
+  if (u->pes == 1)
+    return "nt:" + u->kind + "/1/" + std::to_string(u->procs_per_pe);
+  return "pt:" + u->kind + '/' + std::to_string(u->procs_per_pe);
 }
 
 ObservationBuffer::AddResult ObservationBuffer::add(Observation obs) {
@@ -302,8 +298,9 @@ ClassRefit RefitEngine::refit_pt(const Estimator& incumbent,
   return cr;
 }
 
-DriftReport RefitEngine::detect_drift(const Estimator& incumbent,
-                                      const ObservationBuffer& buf) const {
+DriftReport RefitEngine::detect_drift(
+    const Estimator& incumbent, const ObservationBuffer& buf,
+    std::optional<std::uint64_t> incumbent_fingerprint) const {
   DriftReport report;
   for (const std::string& key : buf.class_keys()) {
     const std::deque<Observation>& window = *buf.window(key);
@@ -313,7 +310,10 @@ DriftReport RefitEngine::detect_drift(const Estimator& incumbent,
     std::set<int> drifted_ns;
     std::set<int> drifted_pes;
     for (const Observation& o : window) {
-      const double pred = incumbent.estimate(o.config, o.n);
+      const bool priced = incumbent_fingerprint.has_value() &&
+                          o.priced_by == incumbent_fingerprint;
+      const double pred =
+          priced ? o.predicted_total : incumbent.estimate(o.config, o.n);
       const double rel = std::abs(pred - o.measured_total()) /
                          o.measured_total();
       sum_abs += rel;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -37,11 +38,20 @@ namespace hetsched::core {
 /// communication seconds; when the caller only has the measured total,
 /// split it by the incumbent prediction's tai/tci ratio (what the
 /// server's `observe` ingest does).
+///
+/// An observation may also carry its price: the total the serving model
+/// predicted for it, and that model's content fingerprint (the server
+/// uses search::estimator_fingerprint). Equal fingerprints must mean
+/// equal predictions; detect_drift then reuses the price instead of
+/// re-estimating. An unpriced observation (no fingerprint) is always
+/// re-estimated.
 struct Observation {
   cluster::Config config;
   int n = 0;
   double measured_tai = 0.0;
   double measured_tci = 0.0;
+  double predicted_total = 0.0;
+  std::optional<std::uint64_t> priced_by = std::nullopt;
 
   double measured_total() const { return measured_tai + measured_tci; }
 };
@@ -169,8 +179,12 @@ class RefitEngine {
 
   /// Flags classes whose live error against `incumbent` exceeds the
   /// drift threshold, with the distinct (kind, N) cells to re-measure.
-  DriftReport detect_drift(const Estimator& incumbent,
-                           const ObservationBuffer& buf) const;
+  /// With the incumbent's content fingerprint, an observation priced by
+  /// that same fingerprint keeps its price; every other observation is
+  /// re-estimated. The report is the same either way.
+  DriftReport detect_drift(
+      const Estimator& incumbent, const ObservationBuffer& buf,
+      std::optional<std::uint64_t> incumbent_fingerprint = {}) const;
 
  private:
   ClassRefit refit_nt(const Estimator& incumbent, const NtKey& key,

@@ -1,6 +1,7 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/json.hpp"
 #include "support/thread_annotations.hpp"
@@ -27,9 +28,23 @@ void Ring::record(std::uint16_t op, std::uint16_t code, std::uint16_t cache,
                                "acquire load of head_ in dump()/total()");
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
   Slot& s = slots_[seq & (slots_.size() - 1)];
-  // Odd version = write in progress. Two writers lapping each other on
-  // the same slot (the ring wrapped a full capacity during one write)
-  // can interleave; the seq check in dump() discards such slots.
+  // One writer stores into a slot at a time. A second writer of the same
+  // slot exists only when the ring wrapped a full capacity between one
+  // writer's claim and its store; it waits for the first to finish.
+  HETSCHED_ATOMIC_DOC(acquire, "writer exclusion: pairs with the previous "
+                               "writer's release clear() below, so its "
+                               "ver/seq stores are visible here");
+  while (s.writing.test_and_set(std::memory_order_acquire))
+    std::this_thread::yield();
+  // A writer a full ring later already stored its newer record here while
+  // this one was delayed after its claim: keep the newer record.
+  if (s.ver.load(std::memory_order_relaxed) != 0 &&
+      s.seq.load(std::memory_order_relaxed) > seq) {
+    HETSCHED_ATOMIC_DOC(release, "writer exclusion: hands the slot to the "
+                                 "next writer's acquire test_and_set()");
+    s.writing.clear(std::memory_order_release);
+    return;
+  }
   HETSCHED_ATOMIC_DOC(acq_rel, "seqlock open: makes the version odd before "
                                "any payload store; pairs with dump()'s v1 "
                                "acquire load");
@@ -48,6 +63,9 @@ void Ring::record(std::uint16_t op, std::uint16_t code, std::uint16_t cache,
   HETSCHED_ATOMIC_DOC(release, "seqlock close: publishes the payload stores "
                                "above; pairs with dump()'s v2 acquire load");
   s.ver.fetch_add(1, std::memory_order_release);
+  HETSCHED_ATOMIC_DOC(release, "writer exclusion: hands the slot to the "
+                               "next writer's acquire test_and_set()");
+  s.writing.clear(std::memory_order_release);
 }
 // hetsched-lint: hot-path-end
 

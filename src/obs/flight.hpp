@@ -1,16 +1,23 @@
-// Flight recorder: a bounded lock-free ring of structured per-request
+// Flight recorder: a bounded, allocation-free ring of structured per-request
 // records — the "what were the last N requests" black box a long-lived
 // daemon can dump on demand (the server's `flight` wire op, or SIGUSR1
 // on hetsched_advisord).
 //
 // Design:
 //
-//  * *Writers never block and never allocate.* record() claims a slot
-//    with one fetch_add on the global head, then publishes the fields
-//    under a per-slot version counter (odd while the write is in
-//    progress, bumped to even when done) — a seqlock, except that every
-//    field is itself a relaxed atomic, so concurrent read/write of a
-//    slot is well-defined (and TSan-clean) rather than "benign" UB.
+//  * *Writers never allocate, and wait only when the ring laps.*
+//    record() claims a sequence number with one fetch_add on the global
+//    head, takes its slot's writer flag, then publishes the fields under
+//    a per-slot version counter (odd while the write is in progress,
+//    bumped to even when done) — a seqlock, except that every field is
+//    itself a relaxed atomic, so concurrent read/write of a slot is
+//    well-defined (and TSan-clean) rather than "benign" UB. The flag
+//    means two writers never store into one slot at once; a second
+//    writer of a slot exists only when the ring wrapped a full capacity
+//    between one writer's claim and its store, and only then does a
+//    writer wait. A writer that finds a newer record already in its
+//    slot (it was lapped while delayed after its claim) drops its own,
+//    so a slot never goes back to an older record.
 //  * *Readers are optimistic.* dump() re-reads a slot until it observes
 //    the same even version on both sides, and discards slots whose
 //    sequence number no longer matches the one it asked for (the ring
@@ -56,9 +63,11 @@ class Ring {
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
-  /// Appends one record, overwriting the oldest when full. Wait-free
-  /// apart from the slot version bump; never allocates (asserted by the
-  /// hot-path-alloc lint region in flight.cpp).
+  /// Appends one record, overwriting the oldest when full, unless the
+  /// ring lapped this writer and its slot already holds a newer record
+  /// (then this record is dropped). Waits only for another writer of the
+  /// same slot; never allocates (asserted by the hot-path-alloc lint
+  /// region in flight.cpp).
   void record(std::uint16_t op, std::uint16_t code, std::uint16_t cache,
               std::int32_t n, std::uint64_t fingerprint,
               std::uint64_t arrival_us, std::uint64_t wall_us) noexcept;
@@ -79,6 +88,7 @@ class Ring {
 
  private:
   struct Slot {
+    std::atomic_flag writing;  ///< held by the one writer storing here
     std::atomic<std::uint64_t> ver{0};  ///< even = stable, odd = writing
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> arrival_us{0};

@@ -405,7 +405,7 @@ Service::Service(std::shared_ptr<const ModelSnapshot> snapshot,
       pool_(options.threads),
       flight_(options.flight_capacity),
       obs_buf_(options.refit_buffer_capacity, options.refit_buffer_classes) {
-  HETSCHED_CHECK(slot_.load() != nullptr,
+  HETSCHED_CHECK(this->snapshot() != nullptr,
                  "Service requires an initial snapshot");
   static_assert(Service::kOpTableSize == 12,
                 "op_wall_ must cover every entry of op_table()");
@@ -454,10 +454,16 @@ std::uint64_t Service::clock_now_us() const {
 
 void Service::swap_snapshot(std::shared_ptr<const ModelSnapshot> snapshot) {
   HETSCHED_CHECK(snapshot != nullptr, "cannot publish a null snapshot");
-  slot_.store(std::move(snapshot));
+  {
+    std::lock_guard<std::mutex> l(slot_mu_);
+    slot_.swap(snapshot);
+  }
+  // `snapshot` now holds the displaced model. Dropping the last reference
+  // to it destroys its estimator and warmed sweeps; that happens at the
+  // end of this function, outside slot_mu_, so readers never wait on it.
   HETSCHED_ATOMIC_DOC(relaxed, "freshness timestamp for health output; the "
-                               "snapshot itself is published by slot_'s "
-                               "seq_cst store above");
+                               "snapshot itself is published under "
+                               "slot_mu_ above");
   published_us_.store(clock_now_us(), std::memory_order_relaxed);
   HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic");
   swaps_.fetch_add(1, std::memory_order_relaxed);
@@ -497,7 +503,8 @@ void Service::set_draining(bool draining) {
 }
 
 std::shared_ptr<const ModelSnapshot> Service::snapshot() const {
-  return slot_.load();
+  std::lock_guard<std::mutex> l(slot_mu_);
+  return slot_;
 }
 
 void Service::set_reload_handler(ReloadHandler handler) {
@@ -555,7 +562,7 @@ std::string Service::handle_parsed(const std::string& payload,
     if (op == nullptr || !op->is_string())
       bad_request("request requires a string op");
 
-    const std::shared_ptr<const ModelSnapshot> snap = slot_.load();
+    const std::shared_ptr<const ModelSnapshot> snap = snapshot();
     meta.fingerprint = snap->fingerprint();
     const std::string& name = op->as_string();
     {
@@ -671,7 +678,7 @@ std::string Service::handle_parsed(const std::string& payload,
           bad_request("family must be a non-empty string");
         family = f->as_string();
       }
-      ingest_observation(config, size, bd, t_measured);
+      ingest_observation(config, size, bd, snap->fingerprint(), t_measured);
       return ok_response(id,
                          observe_result(family, bd.total, t_measured));
     }
@@ -962,7 +969,7 @@ std::string Service::observe_result(const std::string& family,
 
 void Service::ingest_observation(const cluster::Config& config, int n,
                                  const core::Estimator::Breakdown& bd,
-                                 double measured) {
+                                 std::uint64_t priced_by, double measured) {
   // The wire carries only the measured total; split it into computation
   // and communication by the prediction's own ratio — the best available
   // attribution, and exact in the limit where only the overall scale
@@ -982,6 +989,9 @@ void Service::ingest_observation(const cluster::Config& config, int n,
   obs.n = n;
   obs.measured_tai = ratio * measured;
   obs.measured_tci = measured - obs.measured_tai;
+  // The price drift detection reuses while this model stays published.
+  obs.predicted_total = bd.total;
+  obs.priced_by = priced_by;
   core::ObservationBuffer::AddResult added;
   {
     std::lock_guard<std::mutex> l(obs_mu_);
@@ -999,19 +1009,37 @@ std::size_t Service::observation_count() const {
   return obs_buf_.size();
 }
 
+core::ObservationBuffer Service::observations() const {
+  std::lock_guard<std::mutex> l(obs_mu_);
+  return obs_buf_;
+}
+
 std::string Service::refit_now() {
-  const std::shared_ptr<const ModelSnapshot> snap = slot_.load();
-  core::ObservationBuffer buf(1, 1);
-  {
-    std::lock_guard<std::mutex> l(obs_mu_);
-    buf = obs_buf_;
-  }
+  const std::shared_ptr<const ModelSnapshot> snap = snapshot();
+  const core::ObservationBuffer buf = observations();
   const core::RefitEngine engine(options_.refit);
-  const core::RefitReport report = engine.refit(snap->estimator(), buf);
-  const core::DriftReport drift = engine.detect_drift(snap->estimator(), buf);
+  // Observations the published model priced keep their observe-time
+  // price; only those another model priced are estimated again.
+  RefitPass pass = refit_pass(
+      *snap, engine, buf,
+      engine.detect_drift(snap->estimator(), buf, snap->fingerprint()));
   HETSCHED_COUNTER_ADD("server.refit.attempts", 1);
   HETSCHED_COUNTER_ADD("server.refit.accepted",
-                       static_cast<std::int64_t>(report.accepted));
+                       static_cast<std::int64_t>(pass.accepted));
+  if (pass.publish != nullptr) {
+    swap_snapshot(std::move(pass.publish));
+    HETSCHED_COUNTER_ADD("server.refit.swaps", 1);
+  }
+  return pass.document;
+}
+
+RefitPass refit_pass(const ModelSnapshot& snap,
+                     const core::RefitEngine& engine,
+                     const core::ObservationBuffer& buf,
+                     const core::DriftReport& drift) {
+  const core::RefitReport report = engine.refit(snap.estimator(), buf);
+  RefitPass pass;
+  pass.accepted = report.accepted;
 
   // Drift downgrades apply to classes this round did NOT successfully
   // refit (the evidence indicts the old model; an accepted refit already
@@ -1023,7 +1051,7 @@ std::string Service::refit_now() {
     for (const core::ClassRefit& cr : report.classes)
       accepted = accepted || (cr.key == dc.key && cr.action == "accepted");
     if (accepted) continue;
-    const core::Estimator& inc = snap->estimator();
+    const core::Estimator& inc = snap.estimator();
     const core::Provenance current =
         dc.is_nt ? inc.nt_provenance(core::NtKey{dc.kind, dc.pe_counts.empty()
                                                               ? 1
@@ -1035,25 +1063,24 @@ std::string Service::refit_now() {
   }
 
   bool swapped = false;
-  std::uint64_t fingerprint = snap->fingerprint();
+  std::uint64_t fingerprint = snap.fingerprint();
   if (report.accepted > 0 || !stale.classes.empty()) {
     core::Estimator next =
-        report.model.has_value() ? *report.model : snap->estimator();
+        report.model.has_value() ? *report.model : snap.estimator();
     core::apply_drift(next, stale);
     auto fresh =
-        std::make_shared<const ModelSnapshot>(std::move(next), snap->space());
+        std::make_shared<const ModelSnapshot>(std::move(next), snap.space());
     // Publish only when something actually changed: a refit that
     // reproduces the incumbent's coefficients bit-for-bit (steady state
     // under an unchanged window) must not churn the snapshot and wipe
     // the calibration watchdog every pass. Drift downgrades are
     // provenance-only (invisible to the content fingerprint) and always
     // publish — the already-kDrifted filter above bounds that churn.
-    if (fresh->fingerprint() != snap->fingerprint() ||
+    if (fresh->fingerprint() != snap.fingerprint() ||
         !stale.classes.empty()) {
       fingerprint = fresh->fingerprint();
-      swap_snapshot(std::move(fresh));
+      pass.publish = std::move(fresh);
       swapped = true;
-      HETSCHED_COUNTER_ADD("server.refit.swaps", 1);
     }
   }
 
@@ -1106,7 +1133,8 @@ std::string Service::refit_now() {
   out += ",\"model_fingerprint\":";
   out += json_quote(hex_fingerprint(fingerprint));
   out += '}';
-  return out;
+  pass.document = std::move(out);
+  return pass;
 }
 
 std::string Service::flight_json(std::size_t max_records) const {
@@ -1114,12 +1142,12 @@ std::string Service::flight_json(std::size_t max_records) const {
 }
 
 std::string Service::metrics_json() const {
-  const std::shared_ptr<const ModelSnapshot> snap = slot_.load();
+  const std::shared_ptr<const ModelSnapshot> snap = snapshot();
   return metrics_result(*snap, /*process_scope=*/true);
 }
 
 std::string Service::health_json() const {
-  const std::shared_ptr<const ModelSnapshot> snap = slot_.load();
+  const std::shared_ptr<const ModelSnapshot> snap = snapshot();
   return health_result(*snap);
 }
 

@@ -77,11 +77,33 @@ struct ServiceOptions {
   std::uint64_t refit_interval_us = 0;
 };
 
+/// One refit pass, before anything is published: the canonical `refit`
+/// result document and, when the pass changes the model (an accepted
+/// refit or a drift downgrade), the snapshot to publish.
+struct RefitPass {
+  std::string document;
+  std::shared_ptr<const ModelSnapshot> publish;  ///< null: nothing changed
+  std::size_t accepted = 0;
+};
+
+/// Refits `buf` against `snap` with `engine` and applies `drift`, the
+/// engine's detect_drift report of the same buffer against the same
+/// estimator. Service::refit_now passes the snapshot's fingerprint to
+/// detect_drift so observe-time prices are reused; a report computed
+/// without it re-prices every observation and yields the same document.
+RefitPass refit_pass(const ModelSnapshot& snap,
+                     const core::RefitEngine& engine,
+                     const core::ObservationBuffer& buf,
+                     const core::DriftReport& drift);
+
 /// Transport-independent request handler around a hot-swappable model.
 ///
 /// Thread-safety: every member is safe to call concurrently.
-/// handle_payload is lock-free on the snapshot slot (one atomic load)
-/// plus one sharded-cache probe; swap_snapshot never blocks readers.
+/// handle_payload takes the snapshot slot's mutex only to copy the
+/// published pointer, then probes one cache shard; swap_snapshot holds
+/// that mutex only to exchange the pointer and releases the displaced
+/// snapshot after unlocking, so readers never wait on a model build or
+/// teardown.
 /// Concurrent handle_batch calls serialize on the worker pool (each
 /// connection batches independently; see net.cpp).
 class Service {
@@ -92,7 +114,8 @@ class Service {
   ~Service();
 
   /// Publishes a new snapshot. In-flight requests finish on the old
-  /// one; subsequent requests see the new one. Never blocks readers.
+  /// one; subsequent requests see the new one. Readers wait at most for
+  /// the pointer exchange, never for the old snapshot's teardown.
   /// Per-family calibration watchdog state is reset: those statistics
   /// measured the *old* model, and carrying them over would leave a
   /// `degraded` verdict pinned against a model that never produced the
@@ -166,6 +189,8 @@ class Service {
 
   /// Observations currently buffered for refits (tests, soak checks).
   std::size_t observation_count() const;
+  /// A copy of the refit buffer, as the next refit pass would read it.
+  core::ObservationBuffer observations() const;
 
   /// Number of entries in the op name table (index 0 is "?", the
   /// unparseable-request bucket) — the size of the per-op latency
@@ -196,10 +221,12 @@ class Service {
   std::string observe_result(const std::string& family, double predicted,
                              double measured);
   /// Feeds one observation into the refit buffer, splitting the measured
-  /// total into computation/communication by the prediction's ratio.
+  /// total into computation/communication by the prediction's ratio and
+  /// keeping the prediction with the fingerprint of the snapshot that
+  /// made it.
   void ingest_observation(const cluster::Config& config, int n,
                           const core::Estimator::Breakdown& bd,
-                          double measured);
+                          std::uint64_t priced_by, double measured);
   /// True when any calibration family exceeds the watchdog threshold.
   /// Locking precondition checked by the lock-scope lint rule and the
   /// clang thread-safety leg.
@@ -207,7 +234,13 @@ class Service {
 
   ServiceOptions options_ HETSCHED_NOT_GUARDED(
       "set in the constructor, immutable afterwards");
-  std::atomic<std::shared_ptr<const ModelSnapshot>> slot_;
+  /// The published snapshot. A plain shared_ptr behind a mutex rather
+  /// than std::atomic<std::shared_ptr>: libstdc++ 12's atomic takes an
+  /// internal lock on every load anyway, and releases it with a relaxed
+  /// operation that orders nothing TSan can see. Readers copy the
+  /// pointer under the lock (one reference-count increment).
+  mutable std::mutex slot_mu_;
+  std::shared_ptr<const ModelSnapshot> slot_ HETSCHED_GUARDED_BY(slot_mu_);
   search::ShardedCache<std::string> cache_ HETSCHED_NOT_GUARDED(
       "internally synchronized (per-shard locks)");
   support::WorkStealingPool pool_ HETSCHED_NOT_GUARDED(
@@ -221,7 +254,7 @@ class Service {
   std::atomic<std::uint64_t> swaps_{0};
 
   obs::flight::Ring flight_ HETSCHED_NOT_GUARDED(
-      "lock-free seqlock ring, internally synchronized");
+      "seqlock ring with per-slot writer flags, internally synchronized");
   /// Wall-time distribution per wire op, indexed by RequestMeta::op.
   /// Always on (plain members, not registry metrics), so the `metrics`
   /// op serves identical quantiles in both HETSCHED_OBS legs.

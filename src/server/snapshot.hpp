@@ -1,11 +1,11 @@
 // Immutable model snapshot: everything one advisor answer depends on.
 //
-// The service publishes a `shared_ptr<const ModelSnapshot>` through an
-// atomic slot (see service.hpp). A request thread loads the pointer
-// once and answers entirely from that object — estimator, candidate
-// space, fingerprints, warmed batch sweeps — so a concurrent reload
-// (refit, new model file) swaps the slot without ever blocking or
-// tearing a reader: in-flight requests finish on the old snapshot,
+// The service publishes a `shared_ptr<const ModelSnapshot>` through a
+// mutex-guarded slot (see service.hpp). A request thread copies the
+// pointer once and answers entirely from that object — estimator,
+// candidate space, fingerprints, warmed batch sweeps — so a concurrent
+// reload (refit, new model file) swaps the slot without tearing a
+// reader: in-flight requests finish on the old snapshot,
 // which the shared_ptr keeps alive, and the next request sees the new
 // one. This is the open-lmake shape: the book-keeping engine stays
 // resident and hot while the model underneath it is replaced.

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -126,6 +128,52 @@ TEST(FlightRing, ConcurrentWritersLoseNothing) {
   ASSERT_EQ(got.size(), ring.capacity());
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_EQ(got[i].seq, ring.total() - ring.capacity() + i);
+}
+
+TEST(FlightRing, LappedWriterNeverReplacesANewerRecord) {
+  // Oversubscribed writers hammer a two-slot ring, so the ring laps on
+  // almost every record and a writer delayed between claiming its
+  // sequence number and storing its record often finds that a writer a
+  // full ring later has already stored into its slot. That stale writer
+  // must drop its record. Each round stops every writer at once; after
+  // they are idle, a full dump must hold the two newest records. A stale
+  // store left in a slot shows up as a missing sequence number.
+  const int threads =
+      4 * static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
+  constexpr int kRounds = 200;
+  Ring ring(2);
+  std::atomic<int> round{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> idle{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < threads; ++t)
+    writers.emplace_back([&] {
+      for (int r = 1; r <= kRounds; ++r) {
+        while (round.load(std::memory_order_acquire) < r)
+          std::this_thread::yield();
+        while (!stop.load(std::memory_order_acquire)) record_simple(ring, 1);
+        idle.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  int stale_rounds = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    stop.store(false, std::memory_order_release);
+    round.store(r, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    stop.store(true, std::memory_order_release);
+    while (idle.load(std::memory_order_acquire) < r * threads)
+      std::this_thread::yield();
+    // Under load a round can end before any writer ran, so the first
+    // rounds may leave fewer than two records in all.
+    const std::uint64_t total = ring.total();
+    const std::vector<Record> got = ring.dump(ring.capacity());
+    bool newest = got.size() == std::min<std::uint64_t>(total, 2);
+    for (std::size_t i = 0; newest && i < got.size(); ++i)
+      newest = got[i].seq == total - got.size() + i;
+    if (!newest) ++stale_rounds;
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(stale_rounds, 0) << "of " << kRounds << " rounds";
 }
 
 TEST(FlightRing, DumpUnderWriteLoadReturnsOnlyWholeRecords) {

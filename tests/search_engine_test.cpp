@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cluster/pe_kind.hpp"
+#include "core/model_io.hpp"
 #include "core/optimizer.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -250,6 +251,103 @@ TEST(EngineCache, InvalidatedOnEstimatorRebuild) {
   engine.rank_all(again, space, 1000);
   EXPECT_EQ(engine.stats().cache_hits, space.size());
   (void)a;
+}
+
+// An estimator whose keys sort differently as text and as numbers: m 2
+// and 10, pes 3 and 12, kinds listed out of spec order, a kind ("Alpha.x")
+// that sorts before its prefix ("Alpha") because '.' < '/', and a kind
+// the spec does not list. The entries, the fingerprint and the model
+// file must keep the lexicographic order of the "kind/pes/m" and
+// "kind/m" texts; the pinned values were produced before the estimator
+// keyed its models by integers.
+core::Estimator text_order_estimator() {
+  cluster::ClusterSpec spec;
+  for (const char* name : {"Zeta", "Alpha", "Alpha.x"}) {
+    cluster::PeKind kind = cluster::athlon_1330();
+    kind.name = name;
+    spec.nodes.push_back(cluster::NodeSpec{kind, 12, 768 * kMiB});
+  }
+  core::Estimator est(spec, core::EstimatorOptions{});
+  const auto nt = [](double k) {
+    return core::NtModel({k, 0, 0, 1}, {0, 0, k});
+  };
+  const auto pt = [&](double k) {
+    core::PtModel::State s;
+    s.a_base = nt(k);
+    s.kt = {k, 0.5};
+    s.c_base = nt(2 * k);
+    s.kc = {0.25, k, 0.125};
+    return core::PtModel::from_state(s);
+  };
+  using core::NtKey;
+  using core::Provenance;
+  est.add_nt(NtKey{"Zeta", 12, 2}, nt(1));
+  est.add_nt(NtKey{"Alpha", 3, 1}, nt(2), Provenance::kRefined);
+  est.add_nt(NtKey{"Zeta", 1, 10}, nt(3));
+  est.add_nt(NtKey{"Alpha.x", 1, 1}, nt(4));
+  est.add_nt(NtKey{"Zeta", 1, 2}, nt(5), Provenance::kDrifted);
+  est.add_nt(NtKey{"Alpha", 12, 1}, nt(6));
+  est.add_nt(NtKey{"Beta", 1, 1}, nt(7));
+  est.add_pt("Zeta", 2, pt(1));
+  est.add_pt("Alpha.x", 3, pt(2), Provenance::kComposed);
+  est.add_pt("Zeta", 10, pt(3), Provenance::kRefined);
+  est.add_pt("Alpha", 1, pt(4));
+  est.add_adjustment("Alpha", 3, core::LinearMap{1.5, 0.25});
+  est.add_adjustment("Zeta", 10, core::LinearMap{2, 0});
+  est.add_adjustment("Alpha", 12, core::LinearMap{0.5, 1});
+  est.add_adjustment("Zeta", 2, core::LinearMap{1, 3});
+  return est;
+}
+
+TEST(EstimatorEntryOrder, KeysSortAsTextNotAsNumbers) {
+  const core::Estimator est = text_order_estimator();
+  std::vector<std::string> nt;
+  for (const auto& e : est.nt_entries())
+    nt.push_back(e.key.kind + '/' + std::to_string(e.key.pes) + '/' +
+                 std::to_string(e.key.m));
+  EXPECT_EQ(nt, (std::vector<std::string>{
+                    "Alpha.x/1/1", "Alpha/12/1", "Alpha/3/1", "Beta/1/1",
+                    "Zeta/1/10", "Zeta/1/2", "Zeta/12/2"}));
+  std::vector<std::string> pt;
+  for (const auto& e : est.pt_entries())
+    pt.push_back(e.kind + '/' + std::to_string(e.m));
+  EXPECT_EQ(pt, (std::vector<std::string>{"Alpha.x/3", "Alpha/1", "Zeta/10",
+                                          "Zeta/2"}));
+  std::vector<std::string> adjust;
+  for (const auto& e : est.adjust_entries())
+    adjust.push_back(e.kind + '/' + std::to_string(e.m));
+  EXPECT_EQ(adjust, (std::vector<std::string>{"Alpha/12", "Alpha/3",
+                                              "Zeta/10", "Zeta/2"}));
+
+  EXPECT_EQ(estimator_fingerprint(est), 0x29624731e8f91297ULL);
+  EXPECT_EQ(core::estimator_to_string(est),
+            "hetsched-models v1\n"
+            "fingerprint 87c791c04ac7a60c\n"
+            "options 1 1 1 20 64 1\n"
+            "nt Alpha.x 1 1 4 0 0 1 0 0 4\n"
+            "nt Alpha 12 1 6 0 0 1 0 0 6\n"
+            "nt Alpha 3 1 2 0 0 1 0 0 2\n"
+            "nt Beta 1 1 7 0 0 1 0 0 7\n"
+            "nt Zeta 1 10 3 0 0 1 0 0 3\n"
+            "nt Zeta 1 2 5 0 0 1 0 0 5\n"
+            "nt Zeta 12 2 1 0 0 1 0 0 1\n"
+            "pt Alpha.x 3 2 0.5 1 1 2 0 0 1 0 0 2 0.25 2 0.125 1 4 0 0 1 0 "
+            "0 4\n"
+            "pt Alpha 1 4 0.5 1 1 4 0 0 1 0 0 4 0.25 4 0.125 1 8 0 0 1 0 0 "
+            "8\n"
+            "pt Zeta 10 3 0.5 1 1 3 0 0 1 0 0 3 0.25 3 0.125 1 6 0 0 1 0 0 "
+            "6\n"
+            "pt Zeta 2 1 0.5 1 1 1 0 0 1 0 0 1 0.25 1 0.125 1 2 0 0 1 0 0 "
+            "2\n"
+            "adjust Alpha 12 0.5 1\n"
+            "adjust Alpha 3 1.5 0.25\n"
+            "adjust Zeta 10 2 0\n"
+            "adjust Zeta 2 1 3\n"
+            "prov nt Alpha 3 1 refined\n"
+            "prov nt Zeta 1 2 drifted\n"
+            "prov pt Alpha.x 3 composed\n"
+            "prov pt Zeta 10 refined\n"
+            "end\n");
 }
 
 TEST(EngineCache, OptionFlipInvalidates) {

@@ -7,9 +7,11 @@
 // stream that exposed it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "obs/json.hpp"
 #include "server/service.hpp"
 #include "server_test_util.hpp"
+#include "support/rng.hpp"
 
 namespace hetsched::server {
 namespace {
@@ -169,6 +172,108 @@ TEST(OnlineRefit, NegativePredictedPartStillBuffersTheObservation) {
     ASSERT_TRUE(doc.find("ok")->as_bool()) << resp;
     EXPECT_EQ(service.observation_count(), i);
   }
+}
+
+// Drift detection reuses the price `observe` computed when the model that
+// priced an observation is still the published one. A seeded mix of
+// observes, refits (accepting, drift-only and idle), and reloads to a
+// same-content and to a different-content model leaves the buffer with
+// observations priced by the current model and by models many swaps
+// back. Every refit document must be byte-identical to the one a
+// pass that re-prices every observation produces: refit_pass over a copy
+// of the buffer with a drift report computed without a fingerprint.
+TEST(OnlineRefit, ReusedObservePricesGiveTheRepricedRefitDocument) {
+  const core::ConfigSpace space = testutil::reference_space();
+  Service service(testutil::reference_snapshot());
+  std::shared_ptr<const ModelSnapshot> reload_to;
+  service.set_reload_handler([&reload_to] { return reload_to; });
+  const core::RefitEngine engine(service.options().refit);
+  // The cluster runs 1.5x the reference model's times: the reference
+  // and the 1.75x alternate models drift, refits recover.
+  const core::Estimator truth = testutil::make_estimator(1.5);
+  const std::vector<cluster::Config> configs = {
+      cluster::Config{{cluster::KindUsage{"alpha", 1, 1}}},
+      cluster::Config{{cluster::KindUsage{"alpha", 2, 2}}},
+      cluster::Config{{cluster::KindUsage{"beta", 1, 1}}},
+      cluster::Config{{cluster::KindUsage{"beta", 1, 2}}},
+      cluster::Config{{cluster::KindUsage{"beta", 2, 1}}},
+  };
+  Rng rng(20261019);
+  std::size_t refits = 0, drift_only = 0, reloads = 0, mixed = 0;
+  std::size_t most_models = 0;
+  for (int op = 0; op < 1200; ++op) {
+    const double draw = rng.uniform();
+    if (draw < 0.86) {
+      // The first 200 ops observe alpha only, so no class can refit and
+      // every swap a refit publishes there is a drift downgrade.
+      const cluster::Config& c =
+          configs[rng.uniform_index(op < 200 ? 2 : configs.size())];
+      // alpha classes see two sizes only, so they drift without ever
+      // refitting (drift-only swaps); beta classes see eight.
+      const bool alpha = c.usage[0].kind == "alpha";
+      const int n = alpha ? 2000 * static_cast<int>(1 + rng.uniform_index(2))
+                          : 1000 * static_cast<int>(1 + rng.uniform_index(8));
+      const double measured =
+          truth.estimate(c, n) * rng.uniform(0.97, 1.03);
+      const std::string cfg = "[[\"" + c.usage[0].kind + "\"," +
+                              std::to_string(c.usage[0].pes) + "," +
+                              std::to_string(c.usage[0].procs_per_pe) + "]]";
+      const std::string resp = service.handle_payload(
+          "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":" + std::to_string(n) +
+          ",\"config\":" + cfg +
+          ",\"measured\":" + json::json_number(measured) + "}");
+      ASSERT_TRUE(json::parse(resp).find("ok")->as_bool()) << resp;
+    } else if (draw < 0.93) {
+      const std::shared_ptr<const ModelSnapshot> snap = service.snapshot();
+      const core::ObservationBuffer buf = service.observations();
+      std::set<std::uint64_t> models;
+      std::size_t current = 0;
+      for (const std::string& key : buf.class_keys())
+        for (const core::Observation& o : *buf.window(key)) {
+          ASSERT_TRUE(o.priced_by.has_value());
+          models.insert(*o.priced_by);
+          if (*o.priced_by != snap->fingerprint()) continue;
+          ++current;
+          // Same fingerprint, same price, bit for bit.
+          ASSERT_EQ(o.predicted_total,
+                    snap->estimator().estimate(o.config, o.n));
+        }
+      most_models = std::max(most_models, models.size());
+      if (current > 0 && current < buf.size()) ++mixed;
+      const std::string expected =
+          refit_pass(*snap, engine, buf,
+                     engine.detect_drift(snap->estimator(), buf))
+              .document;
+      const std::string got = service.refit_now();
+      ASSERT_EQ(got, expected) << "refit " << refits << " at op " << op;
+      ++refits;
+      // A swap that keeps the fingerprint published drift downgrades
+      // only: the prices it inherits stay valid.
+      if (json::parse(got).find("swapped")->as_bool() &&
+          service.snapshot()->fingerprint() == snap->fingerprint())
+        ++drift_only;
+    } else {
+      // Half the reloads keep the published content (a new snapshot of
+      // the same estimator), half load a different model.
+      reload_to = rng.uniform() < 0.5
+                      ? std::make_shared<const ModelSnapshot>(
+                            service.snapshot()->estimator(), space)
+                      : std::make_shared<const ModelSnapshot>(
+                            testutil::make_estimator(
+                                rng.uniform() < 0.5 ? 1.0 : 1.75),
+                            space);
+      const std::string resp = service.handle_payload(
+          "{\"hsp\":1,\"id\":2,\"op\":\"reload\"}");
+      ASSERT_TRUE(json::parse(resp).find("ok")->as_bool()) << resp;
+      ++reloads;
+    }
+  }
+  // The sequence must exercise what the comparison is about.
+  EXPECT_GE(refits, 40u);
+  EXPECT_GE(drift_only, 3u);
+  EXPECT_GE(reloads, 40u);
+  EXPECT_GE(mixed, 10u);
+  EXPECT_GE(most_models, 3u);
 }
 
 // The background cadence: with refit_interval_us set, the service

@@ -243,6 +243,8 @@ int main(int argc, char** argv) {
     if (!connect.empty()) {
       std::printf("advisor_bench: socket phase against %s (batch=%zu)\n",
                   connect.c_str(), batch);
+      // Flushed: server_smoke_check starts its health probe on this line.
+      std::fflush(stdout);
       server::Client client(connect);
       check_ok(client.roundtrip(warm_req), "socket warm");
       const std::size_t rounds =

@@ -58,6 +58,12 @@ struct RuleCase {
   const char* path;  ///< expected finding location (tree-relative)
 };
 
+// Without a printer gtest shows a RuleCase as its raw bytes, i.e. three
+// pointer values that ASLR changes on every run of the binary.
+void PrintTo(const RuleCase& c, std::ostream* os) {
+  *os << c.path << " [" << c.rule << "]";
+}
+
 class LintRuleTrip : public ::testing::TestWithParam<RuleCase> {};
 
 TEST_P(LintRuleTrip, FiresExactlyOnce) {

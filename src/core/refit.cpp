@@ -1,11 +1,12 @@
 #include "core/refit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <string>
 
-#include "linalg/incremental.hpp"
+#include "linalg/lls.hpp"
 #include "obs/hooks.hpp"
 #include "support/error.hpp"
 
@@ -25,16 +26,16 @@ const cluster::KindUsage* sole_usage(const cluster::Config& config) {
   return active;
 }
 
-/// Mean |relative error| of `predict` against measured totals over
-/// [begin, end) of a window.
-template <typename Predict>
+/// Mean |relative error| of `predict(model, o)` against measured totals
+/// over [begin, end) of a window.
+template <typename Model, typename Predict>
 double holdout_error(const std::deque<Observation>& window, std::size_t begin,
-                     Predict predict) {
+                     const Model& model, Predict predict) {
   double sum = 0.0;
   std::size_t count = 0;
   for (std::size_t i = begin; i < window.size(); ++i) {
     const Observation& o = window[i];
-    const double pred = predict(o);
+    const double pred = predict(model, o);
     sum += std::abs(pred - o.measured_total()) / o.measured_total();
     ++count;
   }
@@ -46,6 +47,82 @@ std::size_t distinct_ns(const std::deque<Observation>& window,
   std::set<int> ns;
   for (std::size_t i = 0; i < end; ++i) ns.insert(window[i].n);
   return ns.size();
+}
+
+ClassRefit skip(ClassRefit cr, const char* reason) {
+  cr.action = "skipped";
+  cr.reason = reason;
+  return cr;
+}
+
+/// Counts a class's window into `cr`. Returns the number of fit rows
+/// (the window minus the holdout), or 0 when the window is below
+/// min_samples.
+std::size_t count_window(ClassRefit& cr, const std::deque<Observation>& window,
+                         const RefitOptions& opts) {
+  cr.samples = window.size();
+  if (window.size() < opts.min_samples) return 0;
+  const std::size_t fit_count = window.size() - opts.holdout;
+  cr.distinct_n = distinct_ns(window, fit_count);
+  return fit_count;
+}
+
+/// One fit row: a design row and its sample.
+template <std::size_t Cols>
+struct FitRow {
+  std::array<double, Cols> x;
+  double y;
+};
+
+/// Folds the fit rows `row(o)` of window[0, fit_count), oldest first,
+/// into one QR factorization and solves it. The buffer already slides
+/// the window, so nothing is ever removed from the factors. nullopt
+/// when the rows do not determine the coefficients.
+template <std::size_t Cols, typename Row>
+std::optional<std::array<double, Cols>> fold_solve(
+    const std::deque<Observation>& window, std::size_t fit_count, Row row) {
+  linalg::QrFactors f = linalg::qr_empty(Cols);
+  double sum_y = 0.0;
+  for (std::size_t i = 0; i < fit_count; ++i) {
+    const FitRow<Cols> r = row(window[i]);
+    linalg::qr_add_row(f, r.x, r.y);
+    sum_y += r.y;
+  }
+  try {
+    const std::vector<double> c = linalg::qr_solve(f, fit_count, sum_y).coeffs;
+    std::array<double, Cols> out{};
+    std::copy(c.begin(), c.end(), out.begin());
+    return out;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+/// The holdout verdict: scores the candidate and the incumbent on the
+/// window's newest samples, [fit_count, end), and accepts the candidate
+/// unless it scores worse there.
+template <typename Model, typename Predict>
+bool holdout_accepts(ClassRefit& cr, const std::deque<Observation>& window,
+                     std::size_t fit_count, const RefitOptions& opts,
+                     const Model& candidate, const Model& incumbent,
+                     Predict predict) {
+  cr.candidate_err = holdout_error(window, fit_count, candidate, predict);
+  cr.incumbent_err = holdout_error(window, fit_count, incumbent, predict);
+  if (opts.holdout > 0 && cr.candidate_err > cr.incumbent_err) {
+    cr.action = "rejected";
+    cr.reason = "holdout-worse";
+    return false;
+  }
+  cr.action = "accepted";
+  return true;
+}
+
+/// The pass's refined model: a copy of the incumbent, made when the
+/// first class is accepted.
+Estimator& refined_model(std::optional<Estimator>& model,
+                         const Estimator& incumbent) {
+  if (!model.has_value()) model.emplace(incumbent);
+  return *model;
 }
 
 }  // namespace
@@ -121,7 +198,6 @@ RefitEngine::RefitEngine(RefitOptions opts) : opts_(opts) {
 RefitReport RefitEngine::refit(const Estimator& incumbent,
                                const ObservationBuffer& buf) const {
   RefitReport report;
-  Estimator candidate = incumbent;  // classes are replaced as accepted
   for (const std::string& key : buf.class_keys()) {
     const std::deque<Observation>& window = *buf.window(key);
     const cluster::KindUsage* u = sole_usage(window.front().config);
@@ -130,9 +206,10 @@ RefitReport RefitEngine::refit(const Estimator& incumbent,
     ClassRefit cr;
     if (u->pes == 1) {
       cr = refit_nt(incumbent, NtKey{u->kind, u->pes, u->procs_per_pe},
-                    window, &candidate);
+                    window, report.model);
     } else {
-      cr = refit_pt(incumbent, u->kind, u->procs_per_pe, window, &candidate);
+      cr = refit_pt(incumbent, u->kind, u->procs_per_pe, window,
+                    report.model);
     }
     cr.key = key;
     if (cr.action == "accepted") ++report.accepted;
@@ -145,105 +222,76 @@ RefitReport RefitEngine::refit(const Estimator& incumbent,
                      static_cast<std::int64_t>(report.accepted));
   HETSCHED_GAUGE_SET("core.refined_rejected",
                      static_cast<std::int64_t>(rejected));
-  if (report.accepted > 0) report.model = std::move(candidate);
   return report;
 }
 
 ClassRefit RefitEngine::refit_nt(const Estimator& incumbent, const NtKey& key,
                                  const std::deque<Observation>& window,
-                                 Estimator* candidate) const {
+                                 std::optional<Estimator>& model) const {
   ClassRefit cr;
   cr.is_nt = true;
   cr.kind = key.kind;
   cr.pes = key.pes;
   cr.m = key.m;
-  cr.samples = window.size();
-  if (window.size() < opts_.min_samples) {
-    cr.action = "skipped";
-    cr.reason = "insufficient-samples";
-    return cr;
-  }
-  const std::size_t fit_count = window.size() - opts_.holdout;
-  cr.distinct_n = distinct_ns(window, fit_count);
-  if (cr.distinct_n < opts_.min_distinct_n) {
-    cr.action = "skipped";
-    cr.reason = "insufficient-distinct-n";
-    return cr;
-  }
+  const std::size_t fit_count = count_window(cr, window, opts_);
+  if (fit_count == 0) return skip(cr, "insufficient-samples");
+  if (cr.distinct_n < opts_.min_distinct_n)
+    return skip(cr, "insufficient-distinct-n");
   const NtModel* inc = incumbent.nt(key);
-  if (inc == nullptr) {
-    cr.action = "skipped";
-    cr.reason = "no-incumbent-model";
-    return cr;
-  }
+  if (inc == nullptr) return skip(cr, "no-incumbent-model");
 
   // Fit in the scaled variable s = n / n_ref: the raw Vandermonde
   // columns {N^3..1} span ten orders of magnitude over a sweep, and the
-  // incremental solver (unlike solve_lls) does not equilibrate columns.
+  // row fold (unlike solve_lls) does not equilibrate columns.
   double n_ref = 1.0;
   for (std::size_t i = 0; i < fit_count; ++i)
     n_ref = std::max(n_ref, static_cast<double>(window[i].n));
-  linalg::SlidingWindowLls tai_fit(4, fit_count);
-  linalg::SlidingWindowLls tci_fit(3, fit_count);
-  for (std::size_t i = 0; i < fit_count; ++i) {
-    const double s = static_cast<double>(window[i].n) / n_ref;
-    tai_fit.push(std::vector<double>{s * s * s, s * s, s, 1.0},
-                 window[i].measured_tai);
-    tci_fit.push(std::vector<double>{s * s, s, 1.0}, window[i].measured_tci);
-  }
-  std::array<double, 4> ka;
-  std::array<double, 3> kc;
-  try {
-    const std::vector<double> ca = tai_fit.solve().coeffs;
-    const std::vector<double> cc = tci_fit.solve().coeffs;
-    ka = {ca[0] / (n_ref * n_ref * n_ref), ca[1] / (n_ref * n_ref),
-          ca[2] / n_ref, ca[3]};
-    kc = {cc[0] / (n_ref * n_ref), cc[1] / n_ref, cc[2]};
-  } catch (const Error&) {
-    cr.action = "skipped";
-    cr.reason = "rank-deficient";
-    return cr;
-  }
-  const NtModel refined(ka, kc);
+  const auto scaled = [n_ref](const Observation& o) {
+    return static_cast<double>(o.n) / n_ref;
+  };
+  const auto ca = fold_solve<4>(window, fit_count, [&](const Observation& o) {
+    const double s = scaled(o);
+    return FitRow<4>{{s * s * s, s * s, s, 1.0}, o.measured_tai};
+  });
+  const auto cc = fold_solve<3>(window, fit_count, [&](const Observation& o) {
+    const double s = scaled(o);
+    return FitRow<3>{{s * s, s, 1.0}, o.measured_tci};
+  });
+  if (!ca || !cc) return skip(cr, "rank-deficient");
+  const NtModel refined(
+      {(*ca)[0] / (n_ref * n_ref * n_ref), (*ca)[1] / (n_ref * n_ref),
+       (*ca)[2] / n_ref, (*ca)[3]},
+      {(*cc)[0] / (n_ref * n_ref), (*cc)[1] / n_ref, (*cc)[2]});
 
-  cr.candidate_err = holdout_error(window, fit_count, [&](const Observation& o) {
-    return refined.total(o.n);
-  });
-  cr.incumbent_err = holdout_error(window, fit_count, [&](const Observation& o) {
-    return inc->total(o.n);
-  });
-  if (opts_.holdout > 0 && cr.candidate_err > cr.incumbent_err) {
-    cr.action = "rejected";
-    cr.reason = "holdout-worse";
-    return cr;
-  }
-  candidate->add_nt(key, refined, Provenance::kRefined);
-  cr.action = "accepted";
+  if (holdout_accepts(cr, window, fit_count, opts_, refined, *inc,
+                      [](const NtModel& nt, const Observation& o) {
+                        return nt.total(o.n);
+                      }))
+    refined_model(model, incumbent).add_nt(key, refined, Provenance::kRefined);
   return cr;
 }
 
 ClassRefit RefitEngine::refit_pt(const Estimator& incumbent,
                                  const std::string& kind, int m,
                                  const std::deque<Observation>& window,
-                                 Estimator* candidate) const {
+                                 std::optional<Estimator>& model) const {
   ClassRefit cr;
   cr.is_nt = false;
   cr.kind = kind;
   cr.m = m;
-  cr.samples = window.size();
-  if (window.size() < opts_.min_samples) {
-    cr.action = "skipped";
-    cr.reason = "insufficient-samples";
-    return cr;
-  }
-  const std::size_t fit_count = window.size() - opts_.holdout;
-  cr.distinct_n = distinct_ns(window, fit_count);
+  const std::size_t fit_count = count_window(cr, window, opts_);
+  if (fit_count == 0) return skip(cr, "insufficient-samples");
   const PtModel* inc = incumbent.pt(kind, m);
-  if (inc == nullptr) {
-    cr.action = "skipped";
-    cr.reason = "no-incumbent-model";
-    return cr;
-  }
+  if (inc == nullptr) return skip(cr, "no-incumbent-model");
+  // With one PE count the Tci columns q*C(N) and C(N)/q are
+  // proportional, so no solve can tell k9 from k10.
+  const int first_pes = sole_usage(window.front().config)->pes;
+  if (std::all_of(window.begin(),
+                  window.begin() + static_cast<std::ptrdiff_t>(fit_count),
+                  [first_pes](const Observation& o) {
+                    return sole_usage(o.config)->pes == first_pes;
+                  }))
+    return skip(cr, "rank-deficient");
 
   // Keep the base curves A(N), C(N) and the composition scales fixed —
   // they encode the class's shape — and refit only k7..k11 on top, so
@@ -257,44 +305,27 @@ ClassRefit RefitEngine::refit_pt(const Estimator& incumbent,
     const double pes = static_cast<double>(sole_usage(o.config)->pes);
     return comm_q ? pes : pes * m;
   };
-  linalg::SlidingWindowLls tai_fit(2, fit_count);
-  linalg::SlidingWindowLls tci_fit(3, fit_count);
-  for (std::size_t i = 0; i < fit_count; ++i) {
-    const Observation& o = window[i];
+  const auto kt = fold_solve<2>(window, fit_count, [&](const Observation& o) {
     const double a = st.a_p_base * st.a_base.tai(o.n);
-    const double c = st.c_base.tci(o.n);
     const double cs = st.compute_scale;
+    return FitRow<2>{{cs * a / p_of(o), cs}, o.measured_tai};
+  });
+  const auto kc = fold_solve<3>(window, fit_count, [&](const Observation& o) {
+    const double c = st.c_base.tci(o.n);
     const double ms = st.comm_scale;
-    tai_fit.push(std::vector<double>{cs * a / p_of(o), cs}, o.measured_tai);
-    tci_fit.push(
-        std::vector<double>{ms * q_of(o) * c, ms * c / q_of(o), ms},
-        o.measured_tci);
-  }
-  try {
-    const std::vector<double> ct = tai_fit.solve().coeffs;
-    const std::vector<double> cc = tci_fit.solve().coeffs;
-    st.kt = {ct[0], ct[1]};
-    st.kc = {cc[0], cc[1], cc[2]};
-  } catch (const Error&) {
-    cr.action = "skipped";
-    cr.reason = "rank-deficient";
-    return cr;
-  }
+    return FitRow<3>{{ms * q_of(o) * c, ms * c / q_of(o), ms}, o.measured_tci};
+  });
+  if (!kt || !kc) return skip(cr, "rank-deficient");
+  st.kt = *kt;
+  st.kc = *kc;
   const PtModel refined = PtModel::from_state(st);
 
-  cr.candidate_err = holdout_error(window, fit_count, [&](const Observation& o) {
-    return refined.tai(o.n, p_of(o)) + refined.tci(o.n, q_of(o));
-  });
-  cr.incumbent_err = holdout_error(window, fit_count, [&](const Observation& o) {
-    return inc->tai(o.n, p_of(o)) + inc->tci(o.n, q_of(o));
-  });
-  if (opts_.holdout > 0 && cr.candidate_err > cr.incumbent_err) {
-    cr.action = "rejected";
-    cr.reason = "holdout-worse";
-    return cr;
-  }
-  candidate->add_pt(kind, m, refined, Provenance::kRefined);
-  cr.action = "accepted";
+  if (holdout_accepts(cr, window, fit_count, opts_, refined, *inc,
+                      [&](const PtModel& pt, const Observation& o) {
+                        return pt.tai(o.n, p_of(o)) + pt.tci(o.n, q_of(o));
+                      }))
+    refined_model(model, incumbent).add_pt(kind, m, refined,
+                                           Provenance::kRefined);
   return cr;
 }
 

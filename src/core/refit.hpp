@@ -4,9 +4,11 @@
 // campaign; this module closes the production loop instead: every
 // completed run's (config, N, measured Tai/Tci) lands in a bounded
 // ObservationBuffer with per-class sliding windows, and a RefitEngine
-// periodically turns those windows into candidate coefficients via the
-// incremental least-squares path (linalg/incremental.hpp). Candidates
-// are tagged with the `refined` provenance and only accepted when they
+// periodically turns those windows into candidate coefficients. The
+// buffer is the only sliding window: each pass folds a class's fit rows
+// into one QR factorization with Givens rotations (linalg::qr_add_row)
+// and solves it, so nothing is ever downdated. Candidates are tagged
+// with the `refined` provenance and only accepted when they
 // beat the incumbent model on a held-out slice of the newest
 // observations — the uncertainty-aware framing of Bayesian performance
 // prediction (PAPERS.md, arXiv 2110.14545): trust a refit only when the
@@ -144,7 +146,7 @@ struct RefitReport {
   std::size_t accepted = 0;
   /// Copy of the incumbent with every accepted class's model replaced
   /// by its refined candidate (provenance kRefined). Absent when no
-  /// class was accepted.
+  /// class was accepted; the incumbent is copied only when one is.
   std::optional<Estimator> model;
 };
 
@@ -187,12 +189,14 @@ class RefitEngine {
       std::optional<std::uint64_t> incumbent_fingerprint = {}) const;
 
  private:
+  // Each refits one class against the incumbent; an accepted class is
+  // added to `model`, which is copied from the incumbent on first use.
   ClassRefit refit_nt(const Estimator& incumbent, const NtKey& key,
                       const std::deque<Observation>& window,
-                      Estimator* candidate) const;
+                      std::optional<Estimator>& model) const;
   ClassRefit refit_pt(const Estimator& incumbent, const std::string& kind,
                       int m, const std::deque<Observation>& window,
-                      Estimator* candidate) const;
+                      std::optional<Estimator>& model) const;
 
   RefitOptions opts_;
 };

@@ -60,6 +60,40 @@ QrFactors householder_qr(Matrix a, std::vector<double> b) {
   return f;
 }
 
+namespace {
+
+/// Rank guard and back substitution of solve_lls and qr_solve: throws
+/// `rank_msg` when a diagonal of R is at most rows * eps * max |R_ii|,
+/// else solves R x = qtb. The result carries x, the conditioning
+/// estimate and the residual norm; r2 is the caller's.
+LlsResult back_substitute(const QrFactors& f, std::size_t rows,
+                          const char* rank_msg) {
+  const std::size_t n = f.r.cols();
+  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    rmax = std::max(rmax, std::abs(f.r(i, i)));
+    rmin = std::min(rmin, std::abs(f.r(i, i)));
+  }
+  const double tol = static_cast<double>(rows) *
+                     std::numeric_limits<double>::epsilon() * rmax;
+  for (std::size_t i = 0; i < n; ++i)
+    HETSCHED_CHECK(std::abs(f.r(i, i)) > tol, rank_msg);
+
+  LlsResult res;
+  res.coeffs.assign(n, 0.0);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = f.qtb[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= f.r(ii, j) * res.coeffs[j];
+    res.coeffs[ii] = s / f.r(ii, ii);
+  }
+  res.cond = rmin > 0.0 ? rmax / rmin
+                        : std::numeric_limits<double>::infinity();
+  res.residual_norm = f.tail_norm;
+  return res;
+}
+
+}  // namespace
+
 LlsResult solve_lls(const Matrix& a, std::span<const double> b) {
   HETSCHED_CHECK(b.size() == a.rows(), "solve_lls: b size mismatch");
   const std::size_t n = a.cols();
@@ -89,46 +123,89 @@ LlsResult solve_lls(const Matrix& a, std::span<const double> b) {
     }
   }
 
-  QrFactors f = householder_qr(std::move(as), {b.begin(), b.end()});
-
-  double rmax = 0.0, rmin = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    rmax = std::max(rmax, std::abs(f.r(i, i)));
-    rmin = std::min(rmin, std::abs(f.r(i, i)));
-  }
-  const double tol = static_cast<double>(a.rows()) *
-                     std::numeric_limits<double>::epsilon() * rmax;
-  for (std::size_t i = 0; i < n; ++i)
-    HETSCHED_CHECK(std::abs(f.r(i, i)) > tol,
-                   "solve_lls: rank-deficient design matrix");
-
-  // Back substitution.
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = f.qtb[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= f.r(ii, j) * x[j];
-    x[ii] = s / f.r(ii, ii);
-  }
-  for (std::size_t j = 0; j < n; ++j) x[j] *= scale[j];
+  const QrFactors f = householder_qr(std::move(as), {b.begin(), b.end()});
+  LlsResult res =
+      back_substitute(f, a.rows(), "solve_lls: rank-deficient design matrix");
+  for (std::size_t j = 0; j < n; ++j) res.coeffs[j] *= scale[j];
   // The input guard plus the rank guard make a non-finite coefficient
   // impossible in exact arithmetic; this catches the remaining route
   // (overflow during substitution) before it leaves the solver.
-  for (const double v : x)
+  for (const double v : res.coeffs)
     HETSCHED_ASSERT(std::isfinite(v),
                     "solve_lls: non-finite coefficient after back "
                     "substitution");
 
-  LlsResult res;
-  res.coeffs = std::move(x);
-  res.cond = rmin > 0.0 ? rmax / rmin
-                        : std::numeric_limits<double>::infinity();
-  res.residual_norm = f.tail_norm;
   // R^2 against the mean model.
   double mean_b = 0.0;
   for (double v : b) mean_b += v;
   mean_b /= static_cast<double>(b.size());
   double ss_tot = 0.0;
   for (double v : b) ss_tot += (v - mean_b) * (v - mean_b);
+  const double ss_res = res.residual_norm * res.residual_norm;
+  res.r2 = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
+  return res;
+}
+
+QrFactors qr_empty(std::size_t cols) {
+  HETSCHED_CHECK(cols >= 1, "qr_empty: need cols >= 1");
+  QrFactors f;
+  f.r = Matrix(cols, cols);
+  f.qtb.assign(cols, 0.0);
+  return f;
+}
+
+void qr_add_row(QrFactors& f, std::span<const double> row, double y) {
+  const std::size_t n = f.r.cols();
+  HETSCHED_CHECK(f.r.rows() == n && f.qtb.size() == n,
+                 "qr_add_row: malformed factors");
+  HETSCHED_CHECK(row.size() == n, "qr_add_row: row width mismatch");
+  for (const double v : row)
+    HETSCHED_CHECK(std::isfinite(v), "qr_add_row: non-finite design entry");
+  HETSCHED_CHECK(std::isfinite(y), "qr_add_row: non-finite sample");
+
+  std::vector<double> w(row.begin(), row.end());
+  double beta = y;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (w[k] == 0.0) continue;
+    // Givens rotation zeroing w[k] against R(k,k).
+    const double rkk = f.r(k, k);
+    const double h = std::hypot(rkk, w[k]);
+    const double c = rkk / h;
+    const double s = w[k] / h;
+    f.r(k, k) = h;
+    w[k] = 0.0;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      const double rj = f.r(k, j);
+      const double wj = w[j];
+      f.r(k, j) = c * rj + s * wj;
+      w[j] = -s * rj + c * wj;
+    }
+    const double zk = f.qtb[k];
+    f.qtb[k] = c * zk + s * beta;
+    beta = -s * zk + c * beta;
+  }
+  // Whatever is left of the rotated rhs is orthogonal to the column
+  // space tracked by R: it joins the residual tail.
+  f.tail_norm = std::hypot(f.tail_norm, beta);
+}
+
+LlsResult qr_solve(const QrFactors& f, std::size_t rows, double sum_y) {
+  const std::size_t n = f.r.cols();
+  HETSCHED_CHECK(f.r.rows() == n && f.qtb.size() == n,
+                 "qr_solve: malformed factors");
+  HETSCHED_CHECK(rows >= n, "qr_solve: fewer rows than coefficients");
+
+  LlsResult res =
+      back_substitute(f, rows, "qr_solve: rank-deficient factorization");
+  for (const double v : res.coeffs)
+    HETSCHED_ASSERT(std::isfinite(v),
+                    "qr_solve: non-finite coefficient after back "
+                    "substitution");
+  // ss_tot = sum (y_i - mean)^2 = ||b||^2 - sum_y^2 / rows, and the
+  // factors carry ||b||^2 = ||qtb||^2 + tail^2 through every rotation.
+  double b_sq = f.tail_norm * f.tail_norm;
+  for (const double z : f.qtb) b_sq += z * z;
+  const double ss_tot = b_sq - sum_y * sum_y / static_cast<double>(rows);
   const double ss_res = res.residual_norm * res.residual_norm;
   res.r2 = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
   return res;

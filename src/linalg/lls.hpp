@@ -85,14 +85,37 @@ struct RobustOptions {
 LlsResult solve_robust_lls(const Matrix& a, std::span<const double> b,
                            const RobustOptions& opts = {});
 
-/// In-place Householder QR: returns R (upper triangular, cols x cols) and
-/// applies the implicit Q^T to `b`. Exposed for testing.
+/// QR factors of a least-squares system A x ~ b: R and the leading
+/// entries of Q^T b, with Q itself implicit.
 struct QrFactors {
   Matrix r;                     ///< cols x cols upper-triangular factor
   std::vector<double> qtb;      ///< first cols entries of Q^T b
   double tail_norm = 0.0;       ///< norm of remaining entries (= residual)
 };
+
+/// In-place Householder QR of a whole system: returns R (upper
+/// triangular, cols x cols) and applies the implicit Q^T to `b`.
+/// Exposed for testing.
 QrFactors householder_qr(Matrix a, std::vector<double> b);
+
+/// The factors of an empty `cols`-column system: R = 0, qtb = 0,
+/// tail_norm = 0. Rows are folded in with qr_add_row.
+QrFactors qr_empty(std::size_t cols);
+
+/// Folds one sample (row, y) into `f` with Givens rotations: after the
+/// call, f factors the stacked system [A; row] x ~ [b; y]. O(cols^2).
+/// The online refit folds each class's window this way, one row per
+/// observation. Requires row.size() == f.r.cols() and finite entries.
+void qr_add_row(QrFactors& f, std::span<const double> row, double y);
+
+/// Solves folded factors by back substitution, with solve_lls's rank
+/// guard (a diagonal of R at most rows * eps * max |R_ii| throws).
+/// `rows` is the number of samples folded into `f` and `sum_y` their
+/// sum; they feed the rank tolerance and the r2 statistic (ss_tot is
+/// recovered from the factors as ||qtb||^2 + tail^2 - sum_y^2 / rows).
+/// The columns are not equilibrated, so callers scale them. Throws
+/// hetsched::Error when rows < cols or the factors are rank deficient.
+LlsResult qr_solve(const QrFactors& f, std::size_t rows, double sum_y);
 
 /// A basis function family for semi-empirical fits:
 /// model(x) = sum_j c_j * basis_j(x).

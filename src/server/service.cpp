@@ -1037,7 +1037,7 @@ RefitPass refit_pass(const ModelSnapshot& snap,
                      const core::RefitEngine& engine,
                      const core::ObservationBuffer& buf,
                      const core::DriftReport& drift) {
-  const core::RefitReport report = engine.refit(snap.estimator(), buf);
+  core::RefitReport report = engine.refit(snap.estimator(), buf);
   RefitPass pass;
   pass.accepted = report.accepted;
 
@@ -1065,11 +1065,11 @@ RefitPass refit_pass(const ModelSnapshot& snap,
   bool swapped = false;
   std::uint64_t fingerprint = snap.fingerprint();
   if (report.accepted > 0 || !stale.classes.empty()) {
-    core::Estimator next =
-        report.model.has_value() ? *report.model : snap.estimator();
+    core::Estimator next = std::move(report.model).value_or(snap.estimator());
     core::apply_drift(next, stale);
-    auto fresh =
-        std::make_shared<const ModelSnapshot>(std::move(next), snap.space());
+    // A refit never changes the cluster spec.
+    auto fresh = std::make_shared<const ModelSnapshot>(
+        std::move(next), snap.space(), snap.cluster_fingerprint());
     // Publish only when something actually changed: a refit that
     // reproduces the incumbent's coefficients bit-for-bit (steady state
     // under an unchanged window) must not churn the snapshot and wipe

@@ -8,10 +8,16 @@
 namespace hetsched::server {
 
 ModelSnapshot::ModelSnapshot(core::Estimator est, core::ConfigSpace space)
+    : ModelSnapshot(std::move(est), std::move(space), std::string()) {
+  cluster_fingerprint_ = core::cluster_fingerprint(estimator_.spec());
+}
+
+ModelSnapshot::ModelSnapshot(core::Estimator est, core::ConfigSpace space,
+                             std::string cluster_fingerprint)
     : estimator_(std::move(est)),
       space_(std::move(space)),
       fingerprint_(search::estimator_fingerprint(estimator_)),
-      cluster_fingerprint_(core::cluster_fingerprint(estimator_.spec())),
+      cluster_fingerprint_(std::move(cluster_fingerprint)),
       candidates_(space_.size()) {}
 
 std::shared_ptr<const core::BatchEstimator> ModelSnapshot::batch_for(

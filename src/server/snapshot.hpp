@@ -35,6 +35,10 @@ class ModelSnapshot {
   /// Snapshots `est` over candidate space `space`, computing both
   /// identity fingerprints (model content and cluster geometry).
   ModelSnapshot(core::Estimator est, core::ConfigSpace space);
+  /// Same, with the cluster fingerprint of `est.spec()` already known:
+  /// a refit keeps the spec, so its snapshot reuses the incumbent's.
+  ModelSnapshot(core::Estimator est, core::ConfigSpace space,
+                std::string cluster_fingerprint);
 
   const core::Estimator& estimator() const { return estimator_; }
   const core::ConfigSpace& space() const { return space_; }

@@ -234,6 +234,34 @@ TEST(RefitEngine, SkipsThinWindows) {
   EXPECT_EQ(report2.classes.front().reason, "insufficient-distinct-n");
 }
 
+TEST(RefitEngine, PtWindowWithOnePeCountIsRankDeficient) {
+  // Every fit row at one PE count makes the Tci columns q*C(N) and
+  // C(N)/q proportional: the class is skipped as rank-deficient, with
+  // no candidate scored, exactly as when both solves were run.
+  const Estimator incumbent = make_estimator();
+  const PtModel* inc = incumbent.pt(kP2, 1);
+  ASSERT_NE(inc, nullptr);
+  ObservationBuffer buf;
+  for (const int n : {1000, 1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000,
+                      5500})
+    buf.add(make_obs(group_config(kP2, 4, 1), n, 1.2 * inc->tai(n, 4.0),
+                     0.9 * inc->tci(n, 4.0)));
+
+  const RefitReport report = RefitEngine().refit(incumbent, buf);
+  ASSERT_EQ(report.classes.size(), 1u);
+  const ClassRefit& cr = report.classes.front();
+  EXPECT_EQ(cr.key, "pt:" + kP2 + "/1");
+  EXPECT_FALSE(cr.is_nt);
+  EXPECT_EQ(cr.action, "skipped");
+  EXPECT_EQ(cr.reason, "rank-deficient");
+  EXPECT_EQ(cr.samples, 10u);
+  EXPECT_EQ(cr.distinct_n, 8u);
+  EXPECT_EQ(cr.incumbent_err, 0.0);
+  EXPECT_EQ(cr.candidate_err, 0.0);
+  EXPECT_EQ(report.accepted, 0u);
+  EXPECT_FALSE(report.model.has_value());
+}
+
 TEST(RefitEngine, DetectsDriftAndNamesTheCells) {
   const Estimator incumbent = make_estimator();
   ObservationBuffer buf;

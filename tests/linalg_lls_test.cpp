@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -188,6 +191,135 @@ TEST_P(PolyRecovery, RandomCoefficientsRecovered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, PolyRecovery, ::testing::Values(1, 2, 3, 4));
+
+// Differential pin of the row fold the online refit solves with:
+// factors built one row at a time by qr_add_row must solve (qr_solve)
+// to the coefficients of a from-scratch solve_lls of the same rows, to
+// 1e-9 relative, on over a thousand random windows. Weighted windows
+// are also pinned against solve_robust_lls, whose Huber IRLS fixed
+// point is the plain LS solution of the weight-scaled rows.
+
+constexpr double kFoldRelTol = 1e-9;
+/// Windows above this full-solve condition estimate are excluded from
+/// the strict 1e-9 pin (the comparison itself loses digits there).
+constexpr double kFoldCondCap = 1e6;
+
+struct WindowData {
+  Matrix a;
+  std::vector<double> b;
+};
+
+WindowData random_window(Rng& rng, std::size_t rows, std::size_t cols) {
+  WindowData w;
+  w.a = Matrix(rows, cols);
+  w.b.resize(rows);
+  const double col_scale = std::pow(10.0, rng.uniform(-2.0, 2.0));
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j)
+      w.a(i, j) = rng.uniform(-2.0, 2.0) * (j == 0 ? col_scale : 1.0);
+    w.b[i] = rng.uniform(-5.0, 5.0);
+  }
+  return w;
+}
+
+/// Every coefficient pair agrees to `tol` relative (with an absolute
+/// floor for coefficients near zero).
+void expect_coeffs_match(const std::vector<double>& got,
+                         const std::vector<double>& want, double tol) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j)
+    EXPECT_NEAR(got[j], want[j],
+                tol * (1.0 + std::max(std::abs(got[j]), std::abs(want[j]))))
+        << "coefficient " << j;
+}
+
+TEST(IncrementalQr, UpdateMatchesFullRefitOnRandomWindows) {
+  Rng rng(0x11aa22bb33cc44ddULL);
+  std::size_t strict = 0;
+  for (int c = 0; c < 1100; ++c) {
+    const std::size_t cols = 1 + rng.uniform_index(6);
+    const std::size_t rows = cols + rng.uniform_index(20);
+    const WindowData w = random_window(rng, rows, cols);
+
+    QrFactors f = qr_empty(cols);
+    double sum_y = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      qr_add_row(f, w.a.row(i), w.b[i]);
+      sum_y += w.b[i];
+    }
+    const LlsResult full = solve_lls(w.a, w.b);
+    if (full.cond > kFoldCondCap) continue;
+    ++strict;
+    const LlsResult inc = qr_solve(f, rows, sum_y);
+    expect_coeffs_match(inc.coeffs, full.coeffs, kFoldRelTol);
+    EXPECT_NEAR(inc.residual_norm, full.residual_norm,
+                kFoldRelTol * (1.0 + full.residual_norm));
+    EXPECT_NEAR(inc.r2, full.r2, 1e-7);
+  }
+  EXPECT_GE(strict, 1000u);
+}
+
+TEST(SlidingWindow, WeightedWindowsMatchRobustRefit) {
+  // solve_robust_lls's coefficients are, at its IRLS fixed point, the
+  // exact LS solution of the system with each row scaled by
+  // sqrt(final weight). Folding those scaled rows must therefore
+  // reproduce the robust coefficients.
+  Rng rng(0x1357924680acebdfULL);
+  std::size_t strict = 0;
+  for (int c = 0; c < 150; ++c) {
+    const std::size_t cols = 1 + rng.uniform_index(4);
+    const std::size_t rows = cols + 4 + rng.uniform_index(10);
+    std::vector<double> truth(cols);
+    for (double& v : truth) v = rng.uniform(-3.0, 3.0);
+    WindowData w = random_window(rng, rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+      double y = 0.0;
+      for (std::size_t j = 0; j < cols; ++j) y += w.a(i, j) * truth[j];
+      // Noise plus the occasional gross outlier so the Huber weights
+      // are genuinely non-trivial on most windows.
+      w.b[i] = y + rng.normal(0.0, 0.05) +
+               (rng.uniform() < 0.15 ? rng.uniform(3.0, 8.0) : 0.0);
+    }
+    const LlsResult robust = solve_robust_lls(w.a, w.b);
+    if (robust.cond > kFoldCondCap) continue;
+    bool degenerate = false;
+    QrFactors f = qr_empty(cols);
+    double sum_y = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double sw = std::sqrt(robust.weights[i]);
+      if (sw == 0.0) {
+        degenerate = true;  // zero-MAD early exit; rank would change
+        break;
+      }
+      std::vector<double> row(cols);
+      for (std::size_t j = 0; j < cols; ++j) row[j] = sw * w.a(i, j);
+      qr_add_row(f, row, sw * w.b[i]);
+      sum_y += sw * w.b[i];
+    }
+    if (degenerate) continue;
+    ++strict;
+    expect_coeffs_match(qr_solve(f, rows, sum_y).coeffs, robust.coeffs,
+                        kFoldRelTol);
+  }
+  EXPECT_GE(strict, 120u);
+}
+
+TEST(IncrementalQr, GuardsRejectMalformedInput) {
+  EXPECT_THROW(qr_empty(0), Error);
+  QrFactors f = qr_empty(2);
+  EXPECT_THROW(qr_add_row(f, std::vector<double>{1.0}, 1.0), Error);
+  EXPECT_THROW(
+      qr_add_row(f, std::vector<double>{1.0, std::nan("")}, 1.0), Error);
+  EXPECT_THROW(qr_add_row(f, std::vector<double>{1.0, 2.0},
+                          std::numeric_limits<double>::infinity()),
+               Error);
+  // Fewer rows than coefficients: underdetermined, must throw.
+  qr_add_row(f, std::vector<double>{1.0, 2.0}, 1.0);
+  EXPECT_THROW(qr_solve(f, 1, 1.0), Error);
+  // Rank-deficient factor (duplicate direction only).
+  qr_add_row(f, std::vector<double>{2.0, 4.0}, 2.0);
+  EXPECT_THROW(qr_solve(f, 2, 3.0), Error);
+}
 
 }  // namespace
 }  // namespace hetsched::linalg

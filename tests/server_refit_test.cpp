@@ -16,8 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/model_builder.hpp"
 #include "core/refit.hpp"
 #include "measure/plan.hpp"
+#include "measure/runner.hpp"
 #include "obs/json.hpp"
 #include "server/service.hpp"
 #include "server_test_util.hpp"
@@ -274,6 +276,62 @@ TEST(OnlineRefit, ReusedObservePricesGiveTheRepricedRefitDocument) {
   EXPECT_GE(reloads, 40u);
   EXPECT_GE(mixed, 10u);
   EXPECT_GE(most_models, 3u);
+}
+
+// A pinned refit trajectory on a campaign-fitted model, where the §9
+// transcripts refit one toy N-T class. The NS model is fitted from a
+// simulated campaign and serves a fixed writer: homogeneous paper-space
+// runs at N = 2000-8000, timed by a runner with another noise salt,
+// in 16 rounds that each end in `refit`. The digest of every refit
+// document and the final model fingerprint were recorded before the
+// refit's row fold replaced its sliding-window solver, and any change
+// to the refit numerics moves them.
+TEST(OnlineRefit, CampaignModelRefitTrajectoryIsPinned) {
+  const cluster::ClusterSpec spec = cluster::paper_cluster();
+  measure::Runner campaign(spec);
+  const core::ConfigSpace space = core::ConfigSpace::paper_eval();
+  Service service(std::make_shared<const ModelSnapshot>(
+      core::ModelBuilder(spec).build(campaign.run_plan(measure::ns_plan())),
+      space));
+
+  std::vector<cluster::Config> writer_configs;
+  for (const cluster::Config& c : space.all())
+    if (c.usage.size() == 1) writer_configs.push_back(c);
+  measure::Runner production(spec, 64, /*salt=*/2);
+  Rng rng(20040426);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over documents
+  std::size_t nt_accepted = 0, pt_accepted = 0;
+  for (int round = 0; round < 16; ++round) {
+    for (int i = 0; i < 48; ++i) {
+      const cluster::Config& c =
+          writer_configs[rng.uniform_index(writer_configs.size())];
+      const int n = 2000 + 500 * static_cast<int>(rng.uniform_index(13));
+      const std::string resp = service.handle_payload(
+          "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":" +
+          std::to_string(n) + ",\"config\":[[\"" + c.usage[0].kind + "\"," +
+          std::to_string(c.usage[0].pes) + "," +
+          std::to_string(c.usage[0].procs_per_pe) + "]],\"measured\":" +
+          json::json_number(production.measure(c, n).wall) + "}");
+      ASSERT_TRUE(json::parse(resp).find("ok")->as_bool()) << resp;
+    }
+    const std::string doc = service.refit_now();
+    for (const char ch : doc + '\n') {
+      digest ^= static_cast<unsigned char>(ch);
+      digest *= 0x100000001b3ULL;
+    }
+    const json::Value parsed = json::parse(doc);
+    for (const json::Value& cls : parsed.find("classes")->as_array()) {
+      if (cls.find("action")->as_string() != "accepted") continue;
+      ++(cls.find("class")->as_string().rfind("nt:", 0) == 0 ? nt_accepted
+                                                            : pt_accepted);
+    }
+  }
+  // The trajectory must refit both model families.
+  EXPECT_GT(nt_accepted, 0u);
+  EXPECT_GT(pt_accepted, 0u);
+  EXPECT_EQ(json::hex_fingerprint(digest), "0x613987a10fda163a");
+  EXPECT_EQ(json::hex_fingerprint(service.snapshot()->fingerprint()),
+            "0xe71df52db213fd02");
 }
 
 // The background cadence: with refit_interval_us set, the service

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "support/error.hpp"
@@ -249,6 +250,54 @@ void BatchEstimator::estimate_rows(const std::size_t* rows, std::size_t count,
 Seconds BatchEstimator::estimate_row(const std::size_t* row,
                                      Scratch& scratch) const {
   return eval_row(row, scratch);
+}
+
+std::size_t BatchEstimator::count_covered(
+    const std::vector<unsigned char>& excluded, int max_procs) const {
+  HETSCHED_CHECK(excluded.size() == kind_count_,
+                 "BatchEstimator::count_covered: one flag per kind");
+  const int cap = std::clamp(max_procs, 0, max_total_procs_);
+  const auto end = [&](std::size_t k) {
+    return k + 1 < kind_count_ ? off_[k + 1] : pes_.size();
+  };
+  // eval_row covers a row of two or more kinds when every used choice
+  // has a P-T model: ways[p] counts the partial rows over the kinds so
+  // far with p processes whose used choices all have one (an excluded
+  // kind is left out); next[] gathers the following kind's.
+  std::vector<std::size_t> ways(static_cast<std::size_t>(cap) + 1, 0);
+  std::vector<std::size_t> next(ways.size());
+  ways[0] = 1;
+  std::size_t optional = 0;  // kinds that can be left out
+  for (std::size_t k = 0; k < kind_count_; ++k) {
+    std::fill(next.begin(), next.end(), std::size_t{0});
+    for (std::size_t j = off_[k]; j < end(k); ++j) {
+      if (pes_[j] == 0)
+        ++optional;
+      else if (excluded[k] || !pt_ok_[j])
+        continue;
+      for (int p = 0; p + procs_[j] <= cap; ++p) next[p + procs_[j]] += ways[p];
+    }
+    ways.swap(next);
+  }
+  std::size_t covered =
+      std::accumulate(ways.begin(), ways.end(), std::size_t{0});
+  // Rows of fewer than two kinds have their own rules: the all-absent
+  // row is no candidate, and a kind alone (every other kind left out)
+  // is covered by its exact N-T bin, else by its P-T model unless
+  // binning refuses it a single PE.
+  if (optional == kind_count_) --covered;
+  for (std::size_t k = 0; k < kind_count_; ++k) {
+    bool own_absent = false;
+    for (std::size_t j = off_[k]; j < end(k); ++j) own_absent |= pes_[j] == 0;
+    if (excluded[k] || optional + (own_absent ? 0 : 1) != kind_count_) continue;
+    for (std::size_t j = off_[k]; j < end(k); ++j) {
+      if (pes_[j] == 0 || procs_[j] > cap) continue;
+      covered += (use_binning_ && nt_ok_[j]) ||
+                 (pt_ok_[j] && !(use_binning_ && pes_[j] == 1));
+      covered -= pt_ok_[j];
+    }
+  }
+  return covered;
 }
 
 }  // namespace hetsched::core

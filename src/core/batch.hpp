@@ -69,6 +69,12 @@ class BatchEstimator {
   /// Single-row convenience over estimate_rows.
   Seconds estimate_row(const std::size_t* row, Scratch& scratch) const;
 
+  /// Rows estimate_rows would price as a number among those leaving out
+  /// every kind with excluded[k] != 0 and running at most `max_procs`
+  /// processes, counted from the coverage flags: O(choices * max_procs).
+  std::size_t count_covered(const std::vector<unsigned char>& excluded,
+                            int max_procs) const;
+
  private:
   Seconds eval_row(const std::size_t* row, Scratch& scratch) const;
   bool paged_row(const std::size_t* row, int total_procs,

@@ -127,23 +127,6 @@ cluster::Config ConfigSpace::config_at(std::size_t index) const {
   return config_from_choice(kinds_, idx);
 }
 
-std::size_t ConfigSpace::candidate_index(
-    const std::vector<std::size_t>& idx) const {
-  HETSCHED_CHECK(idx.size() == kinds_.size(),
-                 "ConfigSpace::candidate_index: wrong arity");
-  std::size_t rank = 0, stride = 1;
-  for (std::size_t k = 0; k < kinds_.size(); ++k) {
-    HETSCHED_CHECK(idx[k] < kinds_[k].choices.size(),
-                   "ConfigSpace::candidate_index: choice out of range");
-    rank += idx[k] * stride;
-    stride *= kinds_[k].choices.size();
-  }
-  const std::size_t er = empty_rank();
-  if (er == npos) return rank;
-  if (rank == er) return npos;
-  return rank - (rank > er ? 1 : 0);
-}
-
 std::vector<Ranked> rank_all(const Estimator& est, const ConfigSpace& space,
                              int n) {
   std::vector<Ranked> out;

@@ -66,11 +66,6 @@ class ConfigSpace {
   /// The i-th candidate of the `all()` order, decoded on the fly.
   cluster::Config config_at(std::size_t index) const;
 
-  /// Inverse of config_at for a per-kind choice-index vector: the
-  /// candidate index the odometer combination occupies in `all()` order.
-  /// Returns npos for the all-absent combination.
-  std::size_t candidate_index(const std::vector<std::size_t>& idx) const;
-
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   const std::vector<KindOptions>& kinds() const { return kinds_; }

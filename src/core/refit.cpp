@@ -84,8 +84,8 @@ std::optional<std::array<double, Cols>> fold_solve(
   linalg::QrFactors f = linalg::qr_empty(Cols);
   double sum_y = 0.0;
   for (std::size_t i = 0; i < fit_count; ++i) {
-    const FitRow<Cols> r = row(window[i]);
-    linalg::qr_add_row(f, r.x, r.y);
+    FitRow<Cols> r = row(window[i]);
+    linalg::qr_add_row(f, r.x, r.y);  // consumes r.x
     sum_y += r.y;
   }
   try {

@@ -154,7 +154,7 @@ QrFactors qr_empty(std::size_t cols) {
   return f;
 }
 
-void qr_add_row(QrFactors& f, std::span<const double> row, double y) {
+void qr_add_row(QrFactors& f, std::span<double> row, double y) {
   const std::size_t n = f.r.cols();
   HETSCHED_CHECK(f.r.rows() == n && f.qtb.size() == n,
                  "qr_add_row: malformed factors");
@@ -163,22 +163,21 @@ void qr_add_row(QrFactors& f, std::span<const double> row, double y) {
     HETSCHED_CHECK(std::isfinite(v), "qr_add_row: non-finite design entry");
   HETSCHED_CHECK(std::isfinite(y), "qr_add_row: non-finite sample");
 
-  std::vector<double> w(row.begin(), row.end());
   double beta = y;
   for (std::size_t k = 0; k < n; ++k) {
-    if (w[k] == 0.0) continue;
-    // Givens rotation zeroing w[k] against R(k,k).
+    if (row[k] == 0.0) continue;
+    // Givens rotation zeroing row[k] against R(k,k).
     const double rkk = f.r(k, k);
-    const double h = std::hypot(rkk, w[k]);
+    const double h = std::hypot(rkk, row[k]);
     const double c = rkk / h;
-    const double s = w[k] / h;
+    const double s = row[k] / h;
     f.r(k, k) = h;
-    w[k] = 0.0;
+    row[k] = 0.0;
     for (std::size_t j = k + 1; j < n; ++j) {
       const double rj = f.r(k, j);
-      const double wj = w[j];
+      const double wj = row[j];
       f.r(k, j) = c * rj + s * wj;
-      w[j] = -s * rj + c * wj;
+      row[j] = -s * rj + c * wj;
     }
     const double zk = f.qtb[k];
     f.qtb[k] = c * zk + s * beta;

@@ -102,11 +102,12 @@ QrFactors householder_qr(Matrix a, std::vector<double> b);
 /// tail_norm = 0. Rows are folded in with qr_add_row.
 QrFactors qr_empty(std::size_t cols);
 
-/// Folds one sample (row, y) into `f` with Givens rotations: after the
-/// call, f factors the stacked system [A; row] x ~ [b; y]. O(cols^2).
-/// The online refit folds each class's window this way, one row per
-/// observation. Requires row.size() == f.r.cols() and finite entries.
-void qr_add_row(QrFactors& f, std::span<const double> row, double y);
+/// Folds one sample (row, y) into `f` with Givens rotations that consume
+/// `row` in place: after the call, f factors the stacked system
+/// [A; row] x ~ [b; y]. O(cols^2), no allocation. The online refit folds
+/// each class's window this way, one row per observation. Requires
+/// row.size() == f.r.cols() and finite entries.
+void qr_add_row(QrFactors& f, std::span<double> row, double y);
 
 /// Solves folded factors by back substitution, with solve_lls's rank
 /// guard (a diagonal of R at most rows * eps * max |R_ii| throws).

@@ -44,144 +44,30 @@ void flush_stats_to_metrics([[maybe_unused]] const EngineStats& st) {
   HETSCHED_COUNTER_ADD("search.cache.evictions", st.cache_evictions);
 }
 
-cluster::Config config_from_idx(
-    const std::vector<core::ConfigSpace::KindOptions>& kinds,
-    const std::vector<std::size_t>& idx) {
-  cluster::Config cfg;
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    const auto [pes, m] = kinds[i].choices[idx[i]];
-    if (pes > 0)
-      cfg.usage.push_back(cluster::KindUsage{kinds[i].kind, pes, m});
-  }
-  return cfg;
-}
+/// A priced candidate and its raw odometer rank (kind 0 fastest, the
+/// all-absent row included), which orders like the enumeration index.
+struct Hit {
+  Seconds t;
+  std::size_t rank;
+};
 
-// Shape fingerprint of a ConfigSpace (kind names + choice lists), for
-// reusing the batch snapshot across sweeps. FNV-1a like the estimator
-// fingerprint.
-std::uint64_t space_signature(const core::ConfigSpace& space) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix_byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  const auto mix_int = [&](long long v) {
-    for (std::size_t i = 0; i < sizeof(v); ++i)
-      mix_byte(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-  };
-  for (const auto& k : space.kinds()) {
-    for (const char c : k.kind) mix_byte(static_cast<unsigned char>(c));
-    mix_byte(0);
-    mix_int(static_cast<long long>(k.choices.size()));
-    for (const auto& [pes, m] : k.choices) {
-      mix_int(pes);
-      mix_int(m);
-    }
-  }
-  return h;
-}
+/// The answer order: ascending estimate, ties in enumeration order.
+constexpr auto before = [](const Hit& a, const Hit& b) {
+  return a.t < b.t || (a.t == b.t && a.rank < b.rank);
+};
 
-}  // namespace
+/// Per-(kind, choice) admissible bounds, already transformed, and the
+/// depth-first kind order.
+struct Bounds {
+  std::vector<std::vector<double>> blb;
+  double zero = 0.0;  ///< the envelope at a raw bound of 0
+  std::vector<std::size_t> order;
+};
 
-Engine::Engine(EngineOptions opts)
-    : opts_(opts),
-      pool_(opts.threads, opts.use_work_stealing),
-      cache_(opts.cache_shards, opts.cache_max_entries_per_shard) {}
-
-Seconds Engine::priced(const core::Estimator& est,
-                       const cluster::Config& config, int n) {
-  if (!opts_.use_cache)
-    return est.covers(config) ? est.estimate(config, n) : kNaN;
-  const std::string key = estimate_key(config, n);
-  if (const auto v = cache_.lookup(key)) return *v;
-  const Seconds v = est.covers(config) ? est.estimate(config, n) : kNaN;
-  cache_.insert(key, v);
-  return v;
-}
-
-const core::BatchEstimator& Engine::batch_for(const core::Estimator& est,
-                                              const core::ConfigSpace& space,
-                                              int n) {
-  const std::uint64_t fp = estimator_fingerprint(est);
-  const std::uint64_t sig = space_signature(space);
-  if (!batch_ || batch_fingerprint_ != fp || batch_space_sig_ != sig ||
-      batch_n_ != n) {
-    batch_ = std::make_unique<core::BatchEstimator>(est, space, n);
-    batch_fingerprint_ = fp;
-    batch_space_sig_ = sig;
-    batch_n_ = n;
-  }
-  return *batch_;
-}
-
-std::optional<Seconds> Engine::try_estimate(const core::Estimator& est,
-                                            const cluster::Config& config,
-                                            int n) {
-  if (opts_.use_cache) cache_.bind(estimator_fingerprint(est));
-  const Seconds v = priced(est, config, n);
-  if (std::isnan(v)) return std::nullopt;
-  return v;
-}
-
-std::vector<core::Ranked> Engine::rank_all(const core::Estimator& est,
-                                           const core::ConfigSpace& space,
-                                           int n) {
-  HETSCHED_TRACE_SPAN_VAR(obs_span, "search", "rank_all");
-  if (opts_.use_cache) cache_.bind(estimator_fingerprint(est));
-  const std::size_t count = space.size();
-  stats_ = EngineStats{};
-  stats_.candidates = count;
-  const std::uint64_t hits0 = cache_.hits();
-  const std::uint64_t misses0 = cache_.misses();
-  const std::uint64_t evictions0 = cache_.evictions();
-  const std::uint64_t steals0 = pool_.steals();
-
-  std::vector<core::Ranked> out(count);
-  pool_.parallel_for(count, [&](std::size_t i) {
-    cluster::Config cfg = space.config_at(i);
-    const Seconds t = priced(est, cfg, n);
-    out[i] = core::Ranked{std::move(cfg), t};
-  });
-
-  // Uncovered candidates carry NaN; drop them keeping enumeration order,
-  // then sort stably — element-wise identical to serial core::rank_all.
-  out.erase(std::remove_if(
-                out.begin(), out.end(),
-                [](const core::Ranked& r) { return std::isnan(r.estimate); }),
-            out.end());
-  stats_.visited = count;
-  stats_.uncovered = count - out.size();
-  std::stable_sort(out.begin(), out.end(),
-                   [](const core::Ranked& a, const core::Ranked& b) {
-                     return a.estimate < b.estimate;
-                   });
-  stats_.cache_hits = cache_.hits() - hits0;
-  stats_.cache_misses = cache_.misses() - misses0;
-  stats_.cache_evictions = cache_.evictions() - evictions0;
-  stats_.steals = pool_.steals() - steals0;
-  flush_stats_to_metrics(stats_);
-  HETSCHED_GAUGE_SET("search.cache.entries", cache_.size());
-  obs_span.arg("candidates", static_cast<long long>(count))
-      .arg("n", n)
-      .arg("cache_hits", static_cast<long long>(stats_.cache_hits));
-  return out;
-}
-
-core::Ranked Engine::best(const core::Estimator& est,
-                          const core::ConfigSpace& space, int n) {
-  HETSCHED_TRACE_SPAN_VAR(obs_span, "search", "best");
-  if (opts_.use_cache) cache_.bind(estimator_fingerprint(est));
-  const core::BatchEstimator* batch =
-      opts_.use_batch && opts_.batch_leaves > 0 ? &batch_for(est, space, n)
-                                                : nullptr;
+Bounds bounds_for(const core::Estimator& est, const core::ConfigSpace& space,
+                  int n) {
   const auto& kinds = space.kinds();
   const std::size_t K = kinds.size();
-  stats_ = EngineStats{};
-  stats_.candidates = space.size();
-  const std::uint64_t hits0 = cache_.hits();
-  const std::uint64_t misses0 = cache_.misses();
-  const std::uint64_t evictions0 = cache_.evictions();
-  const std::uint64_t steals0 = pool_.steals();
   const double nn = n;
   const core::EstimatorOptions& eo = est.options();
 
@@ -295,215 +181,372 @@ core::Ranked Engine::best(const core::Estimator& est,
   // bound(raw_k) — the DFS therefore carries the *transformed* bound
   // and extends it with one std::max per child instead of re-applying
   // the map loop at every node (DESIGN.md §5 note 15).
-  std::vector<std::vector<double>> blb(K);
+  Bounds out;
+  out.blb.resize(K);
   for (std::size_t k = 0; k < K; ++k) {
-    blb[k].resize(lb[k].size(), 0.0);
-    for (std::size_t c = 0; c < lb[k].size(); ++c) blb[k][c] = bound(lb[k][c]);
+    out.blb[k].resize(lb[k].size(), 0.0);
+    for (std::size_t c = 0; c < lb[k].size(); ++c)
+      out.blb[k][c] = bound(lb[k][c]);
   }
-  const double bound_zero = bound(0.0);
+  out.zero = bound(0.0);
 
   // DFS kind order: slowest kinds (largest achievable bound, i.e. worst
   // per-process throughput) first, so the running bound rises early and
   // subtrees die before they branch.
-  std::vector<std::size_t> order(K);
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  out.order.resize(K);
+  std::iota(out.order.begin(), out.order.end(), std::size_t{0});
   std::vector<double> score(K, 0.0);
   for (std::size_t k = 0; k < K; ++k)
     for (const double b : lb[k])
       if (std::isfinite(b)) score[k] = std::max(score[k], b);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return score[a] > score[b];
-  });
+  std::stable_sort(out.order.begin(), out.order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return score[a] > score[b];
+                   });
+  return out;
+}
 
-  // Leaves under each ordered depth, for pruning accounting.
-  std::vector<std::size_t> suffix(K + 1, 1);
-  for (std::size_t d = K; d-- > 0;)
-    suffix[d] = suffix[d + 1] * kinds[order[d]].choices.size();
+}  // namespace
 
-  // Top-level tasks: the cross product of the first `depth` ordered
-  // kinds' choices, enough of them to keep the pool balanced.
-  const std::size_t target =
-      std::max<std::size_t>(1, pool_.size() * opts_.tasks_per_thread);
-  std::size_t depth = 0, tasks = 1;
-  while (depth < K && tasks < target) {
-    tasks *= kinds[order[depth]].choices.size();
-    ++depth;
+TopK top_k(const core::Estimator& est, const core::ConfigSpace& space,
+           const core::BatchEstimator& batch, const Query& query,
+           const EngineOptions& opts, support::WorkStealingPool* pool) {
+  const auto& kinds = space.kinds();
+  const std::size_t K = kinds.size();
+  HETSCHED_CHECK(batch.kind_count() == K,
+                 "search::top_k: the batch estimator snapshots another space");
+  HETSCHED_CHECK(query.top >= 1 && opts.batch_leaves >= 1,
+                 "search::top_k: top >= 1 and batch_leaves >= 1 required");
+  const int limit = query.max_total_procs > 0
+                        ? query.max_total_procs
+                        : std::numeric_limits<int>::max();
+  const auto procs_of = [&](std::size_t k, std::size_t c) {
+    return kinds[k].choices[c].first * kinds[k].choices[c].second;
+  };
+
+  // Kind k's feasible choices are all of them, or, if it is excluded,
+  // its absent choice (none if it has none); `stride` is its weight in
+  // the raw odometer rank.
+  struct KindPlan {
+    std::size_t count = 0, absent = 0, stride = 0;
+  };
+  std::vector<KindPlan> plan(K);
+  std::vector<unsigned char> excluded(K, 0);
+  std::size_t rows_total = 1;
+  for (std::size_t k = 0, weight = 1; k < K; ++k) {
+    excluded[k] = std::find(query.exclude.begin(), query.exclude.end(),
+                            kinds[k].kind) != query.exclude.end();
+    plan[k].count = excluded[k] ? 0 : kinds[k].choices.size();
+    for (std::size_t c = 0; c < kinds[k].choices.size(); ++c)
+      if (kinds[k].choices[c].first == 0) {
+        plan[k].absent = c;
+        if (excluded[k]) plan[k].count = 1;
+      }
+    plan[k].stride = weight;
+    weight *= kinds[k].choices.size();
+    rows_total *= plan[k].count;
+  }
+  const auto choice = [&](std::size_t k, std::size_t i) {  // i-th feasible
+    return excluded[k] ? plan[k].absent : i;
+  };
+
+  TopK out;
+  out.stats.candidates = space.size();
+  if (rows_total == 0) return out;
+  const std::size_t k_top = std::min(query.top, rows_total);
+
+  // A space that fits one batch is one sweep at the root that prices
+  // every feasible row and so counts `covered` itself; a walked tree
+  // skips rows and counts it from the coverage flags.
+  const bool tree = rows_total > opts.batch_leaves;
+  Bounds bt;
+  if (tree) {
+    bt = bounds_for(est, space, batch.n());
+    out.covered = batch.count_covered(excluded, limit);
   }
 
-  struct Local {
-    double est = kInf;
-    std::size_t idx = core::ConfigSpace::npos;
-    std::size_t visited = 0, pruned = 0, uncovered = 0, batch_evals = 0;
+  // Per ordered depth: its kind, the feasible leaves below it, and the
+  // fewest processes the kinds from it on add (the process-limit cut).
+  struct Level {
+    std::size_t kind = 0, suffix = 1;
+    int min_rest = 0;
   };
-  std::vector<Local> locals(tasks);
-  std::atomic<double> incumbent{kInf};
+  std::vector<Level> level(K + 1);
+  for (std::size_t d = K; d-- > 0;) {
+    const std::size_t k = tree ? bt.order[d] : d;
+    int fewest = std::numeric_limits<int>::max();
+    for (std::size_t i = 0; i < plan[k].count; ++i)
+      fewest = std::min(fewest, procs_of(k, choice(k, i)));
+    level[d] = {k, level[d + 1].suffix * plan[k].count,
+                level[d + 1].min_rest + fewest};
+  }
 
-  pool_.parallel_for(tasks, [&](std::size_t t) {
-    Local& L = locals[t];
-    std::vector<std::size_t> idx(K, 0);  // indexed by original kind order
-    // Batch working set, sized once per task; the sweep itself never
-    // allocates.
-    std::vector<std::size_t> rows(batch ? opts_.batch_leaves * K : 0);
-    std::vector<Seconds> vals(batch ? opts_.batch_leaves : 0);
-    std::vector<std::size_t> idx_tmp(batch ? K : 0);
-    core::BatchEstimator::Scratch scratch =
-        batch ? batch->make_scratch() : core::BatchEstimator::Scratch{};
+  // Top-level tasks: the cross product of the first `depth` ordered
+  // kinds' feasible choices, enough of them to keep the pool balanced.
+  std::size_t depth = 0, tasks = 1;
+  while (tree && pool != nullptr && depth < K &&
+         tasks < pool->size() * opts.tasks_per_thread)
+    tasks *= plan[level[depth++].kind].count;
 
-    double prefix_bound = bound_zero;
-    std::size_t rem = t;
-    for (std::size_t d = 0; d < depth; ++d) {
-      const std::size_t k = order[d];
-      idx[k] = rem % kinds[k].choices.size();
-      rem /= kinds[k].choices.size();
-      prefix_bound = std::max(prefix_bound, blb[k][idx[k]]);
-    }
+  struct Task {
+    std::vector<Hit> top;  ///< the task's best, in answer order
+    std::size_t kept = 0, visited = 0, pruned = 0, uncovered = 0;
+  };
+  std::vector<Task> local(tasks);
+  // The k-th best estimate found so far: the minimum of the tasks'
+  // local k-th bests, each an upper bound on the global one.
+  std::atomic<double> threshold{kInf};
+  const std::size_t leaves = std::min(opts.batch_leaves, rows_total);
+  const std::uint64_t steals0 = pool != nullptr ? pool->steals() : 0;
 
-    const auto dfs = [&](const auto& self, std::size_t d,
-                         double cur_bound) -> void {
+  const auto run = [&](std::size_t t) {
+    Task& T = local[t];
+    T.top.resize(k_top);
+    // Choice per kind, tail odometer per depth and the batch working
+    // set, sized once per task: the sweep itself never allocates.
+    std::vector<std::size_t> idx(K, 0), pos(K, 0);
+    std::vector<std::size_t> rows(leaves * K), ranks(leaves);
+    std::vector<Seconds> vals(leaves);
+    core::BatchEstimator::Scratch scratch = batch.make_scratch();
+
+    // hetsched-lint: hot-path-begin — batched leaf fold; no heap
+    // allocation permitted (hot-path-alloc rule).
+    // Prices the feasible rows below depth `d` (the path fixed `rank0`
+    // and `procs0`) in one sweep and inserts them into the task's top-k.
+    const auto fold = [&](std::size_t d, std::size_t rank0, int procs0,
+                          double cur_bound) {
+      std::fill(pos.begin() + static_cast<std::ptrdiff_t>(d), pos.end(), 0);
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < level[d].suffix; ++i) {
+        std::size_t rank = rank0;
+        int procs = procs0;
+        for (std::size_t dd = d; dd < K; ++dd) {
+          const std::size_t k = level[dd].kind, c = choice(k, pos[dd]);
+          idx[k] = c;
+          rank += c * plan[k].stride;
+          procs += procs_of(k, c);
+        }
+        for (std::size_t dd = d;
+             dd < K && ++pos[dd] == plan[level[dd].kind].count; ++dd)
+          pos[dd] = 0;
+        if (procs == 0 || procs > limit) continue;  // 0: the all-absent row
+        std::copy(idx.begin(), idx.end(),
+                  rows.begin() + static_cast<std::ptrdiff_t>(count * K));
+        ranks[count++] = rank;
+      }
+      batch.estimate_rows(rows.data(), count, vals.data(), scratch);
+      for (std::size_t i = 0; i < count; ++i) {
+        ++T.visited;
+        const Hit h{vals[i], ranks[i]};
+        if (std::isnan(h.t)) {
+          ++T.uncovered;
+          continue;
+        }
+        // Admissibility sweep: the path bound must never exceed the true
+        // leaf value, or a cut could discard an answer. Tolerance covers
+        // rounding between the bound's and the estimator's evaluation
+        // order of the same closed forms.
+        if (tree && opts.debug_check_bounds) {
+          double leaf_bound = cur_bound;
+          for (std::size_t dd = d; dd < K; ++dd) {
+            const std::size_t kk = level[dd].kind;
+            leaf_bound = std::max(leaf_bound, bt.blb[kk][rows[i * K + kk]]);
+          }
+          HETSCHED_ASSERT(leaf_bound <= h.t * (1.0 + 1e-9) + 1e-12,
+                          "search::top_k: pruning bound exceeds true leaf "
+                          "estimate (inadmissible bound)");
+        }
+        if (T.kept == k_top && !before(h, T.top[k_top - 1])) continue;
+        std::size_t at = T.kept < k_top ? T.kept++ : k_top - 1;
+        for (; at > 0 && before(h, T.top[at - 1]); --at)
+          T.top[at] = T.top[at - 1];
+        T.top[at] = h;
+        if (T.kept == k_top) atomic_min(threshold, T.top[k_top - 1].t);
+      }
+    };
+    // hetsched-lint: hot-path-end
+
+    const auto dfs = [&](const auto& self, std::size_t d, std::size_t rank,
+                         int procs, double cur_bound) -> void {
+      if (procs + level[d].min_rest > limit) return;  // nothing feasible
       // Stolen-subtree contract (debug): the incrementally carried
       // bound must equal a from-scratch recomputation over the path's
       // fixed choices — both are maxes of the same doubles, so the
       // equality is exact, and any drift in the maintenance (a missed
       // reset, a chunk resumed with stale state after a steal) trips
       // here.
-      if (opts_.debug_check_bounds) {
-        double scratch_bound = bound_zero;
+      if (tree && opts.debug_check_bounds) {
+        double scratch_bound = bt.zero;
         for (std::size_t dd = 0; dd < d; ++dd) {
-          const std::size_t kk = order[dd];
-          scratch_bound = std::max(scratch_bound, blb[kk][idx[kk]]);
+          const std::size_t kk = level[dd].kind;
+          scratch_bound = std::max(scratch_bound, bt.blb[kk][idx[kk]]);
         }
         HETSCHED_ASSERT(scratch_bound == cur_bound,
-                        "search::Engine::best: incremental bound diverged "
-                        "from the from-scratch recomputation");
+                        "search::top_k: incremental bound diverged from the "
+                        "from-scratch recomputation");
       }
       // Strictly-greater cut: a subtree whose optimistic bound merely
-      // *ties* the incumbent may still hold the argmin through the
+      // *ties* the k-th best may still hold an answer through the
       // enumeration-order tie-break, so it survives. Together with the
-      // serial (estimate, index) reduction below this keeps the result
+      // serial (estimate, rank) reduction below this keeps the result
       // bit-identical to the serial oracle for any thread count.
-      HETSCHED_ATOMIC_DOC(relaxed, "advisory incumbent for pruning; stale "
+      HETSCHED_ATOMIC_DOC(relaxed, "advisory threshold for pruning; stale "
                                    "reads only weaken cuts");
-      if (opts_.prune &&
-          cur_bound > incumbent.load(std::memory_order_relaxed)) {
-        L.pruned += suffix[d];
+      if (opts.prune &&
+          cur_bound > threshold.load(std::memory_order_relaxed)) {
+        T.pruned += level[d].suffix;
         return;
       }
-      // hetsched-lint: hot-path-begin — batched leaf sweep; no heap
-      // allocation permitted (hot-path-alloc rule).
-      if (batch != nullptr && suffix[d] <= opts_.batch_leaves) {
-        // The whole remaining subtree fits one batch: enumerate its
-        // leaf rows and price them in a single SoA sweep. Pruning below
-        // this node is forgone — its root bound survived, and pricing a
-        // batched leaf is cheaper than bounding it.
-        const std::size_t cnt = suffix[d];
-        for (std::size_t i = 0; i < cnt; ++i) {
-          std::size_t odo = i;
-          for (std::size_t dd = d; dd < K; ++dd) {
-            const std::size_t kk = order[dd];
-            idx[kk] = odo % kinds[kk].choices.size();
-            odo /= kinds[kk].choices.size();
-          }
-          std::size_t* row = rows.data() + i * K;
-          for (std::size_t kk = 0; kk < K; ++kk) row[kk] = idx[kk];
-        }
-        batch->estimate_rows(rows.data(), cnt, vals.data(), scratch);
-        for (std::size_t i = 0; i < cnt; ++i) {
-          const std::size_t* row = rows.data() + i * K;
-          for (std::size_t kk = 0; kk < K; ++kk) idx_tmp[kk] = row[kk];
-          const std::size_t cand = space.candidate_index(idx_tmp);
-          if (cand == core::ConfigSpace::npos) continue;  // all-absent
-          ++L.visited;
-          ++L.batch_evals;
-          const Seconds v = vals[i];
-          if (std::isnan(v)) {
-            ++L.uncovered;
-            continue;
-          }
-          if (opts_.debug_check_bounds) {
-            double leaf_bound = cur_bound;
-            for (std::size_t dd = d; dd < K; ++dd) {
-              const std::size_t kk = order[dd];
-              leaf_bound = std::max(leaf_bound, blb[kk][row[kk]]);
-            }
-            HETSCHED_ASSERT(leaf_bound <= v * (1.0 + 1e-9) + 1e-12,
-                            "search::Engine::best: pruning bound exceeds "
-                            "true leaf estimate (inadmissible bound)");
-          }
-          if (v < L.est || (v == L.est && cand < L.idx)) {
-            L.est = v;
-            L.idx = cand;
-          }
-          atomic_min(incumbent, v);
-        }
-        for (std::size_t dd = d; dd < K; ++dd) idx[order[dd]] = 0;
-        return;
-      }
-      // hetsched-lint: hot-path-end
-      if (d == K) {
-        const std::size_t cand = space.candidate_index(idx);
-        if (cand == core::ConfigSpace::npos) return;  // all-absent
-        ++L.visited;
-        cluster::Config cfg = config_from_idx(kinds, idx);
-        const Seconds v = priced(est, cfg, n);
-        if (std::isnan(v)) {
-          ++L.uncovered;
-          return;
-        }
-        // Admissibility sweep: the path bound must never exceed the true
-        // leaf value, or a cut could discard the argmin. Tolerance covers
-        // rounding between the bound's and the estimator's evaluation
-        // order of the same closed forms.
-        if (opts_.debug_check_bounds)
-          HETSCHED_ASSERT(cur_bound <= v * (1.0 + 1e-9) + 1e-12,
-                          "search::Engine::best: pruning bound exceeds "
-                          "true leaf estimate (inadmissible bound)");
-        if (v < L.est || (v == L.est && cand < L.idx)) {
-          L.est = v;
-          L.idx = cand;
-        }
-        atomic_min(incumbent, v);
-        return;
-      }
-      const std::size_t k = order[d];
-      for (std::size_t c = 0; c < kinds[k].choices.size(); ++c) {
+      // The whole remaining subtree fits one batch: price it in one
+      // sweep. Pruning below this node is forgone — its root bound
+      // survived, and pricing a batched leaf is cheaper than bounding it.
+      if (level[d].suffix <= opts.batch_leaves)
+        return fold(d, rank, procs, cur_bound);
+      const std::size_t k = level[d].kind;
+      for (std::size_t i = 0; i < plan[k].count; ++i) {
+        const std::size_t c = choice(k, i);
         idx[k] = c;
-        self(self, d + 1, std::max(cur_bound, blb[k][c]));
+        self(self, d + 1, rank + c * plan[k].stride, procs + procs_of(k, c),
+             std::max(cur_bound, bt.blb[k][c]));
       }
-      idx[k] = 0;
     };
-    dfs(dfs, depth, prefix_bound);
+
+    double bound = bt.zero;
+    std::size_t rank = 0, rem = t;
+    int procs = 0;
+    for (std::size_t d = 0; d < depth; ++d) {  // task t's prefix
+      const std::size_t k = level[d].kind, c = choice(k, rem % plan[k].count);
+      rem /= plan[k].count;
+      idx[k] = c;
+      rank += c * plan[k].stride;
+      procs += procs_of(k, c);
+      bound = std::max(bound, bt.blb[k][c]);
+    }
+    dfs(dfs, depth, rank, procs, bound);
+  };
+  if (tasks > 1)
+    pool->parallel_for(tasks, run);
+  else
+    run(0);
+
+  // Deterministic reduction: the tasks' top-k merged in answer order.
+  std::vector<Hit> hits;
+  for (const Task& T : local) {
+    out.stats.visited += T.visited;
+    out.stats.pruned += T.pruned;
+    out.stats.uncovered += T.uncovered;
+    // Leaves priced per pool task: the spread of this histogram is the
+    // work-balance story of a parallel search.
+    if (pool != nullptr)
+      HETSCHED_HISTOGRAM_RECORD("search.task_leaves", T.visited);
+    hits.insert(hits.end(), T.top.begin(),
+                T.top.begin() + static_cast<std::ptrdiff_t>(T.kept));
+  }
+  std::sort(hits.begin(), hits.end(), before);
+  hits.resize(std::min(hits.size(), k_top));
+  out.stats.batch_evals = out.stats.visited;
+  if (pool != nullptr) out.stats.steals = pool->steals() - steals0;
+  if (!tree) out.covered = out.stats.visited - out.stats.uncovered;
+  out.best.reserve(hits.size());
+  for (const Hit& h : hits) {
+    core::Ranked& r = out.best.emplace_back(core::Ranked{{}, h.t});
+    r.config.usage.reserve(K);
+    for (std::size_t k = 0, rest = h.rank; k < K; ++k) {
+      const auto [pes, m] = kinds[k].choices[rest % kinds[k].choices.size()];
+      rest /= kinds[k].choices.size();
+      if (pes > 0) r.config.usage.push_back({kinds[k].kind, pes, m});
+    }
+  }
+  return out;
+}
+
+Engine::Engine(EngineOptions opts)
+    : opts_(opts),
+      pool_(opts.threads, opts.use_work_stealing),
+      cache_(opts.cache_shards, opts.cache_max_entries_per_shard) {
+  HETSCHED_CHECK(opts_.batch_leaves >= 1,
+                 "search::Engine: batch_leaves >= 1 required");
+}
+
+Seconds Engine::priced(const core::Estimator& est,
+                       const cluster::Config& config, int n) {
+  if (!opts_.use_cache)
+    return est.covers(config) ? est.estimate(config, n) : kNaN;
+  const std::string key = estimate_key(config, n);
+  if (const auto v = cache_.lookup(key)) return *v;
+  const Seconds v = est.covers(config) ? est.estimate(config, n) : kNaN;
+  cache_.insert(key, v);
+  return v;
+}
+
+std::optional<Seconds> Engine::try_estimate(const core::Estimator& est,
+                                            const cluster::Config& config,
+                                            int n) {
+  if (opts_.use_cache) cache_.bind(estimator_fingerprint(est));
+  const Seconds v = priced(est, config, n);
+  if (std::isnan(v)) return std::nullopt;
+  return v;
+}
+
+std::vector<core::Ranked> Engine::rank_all(const core::Estimator& est,
+                                           const core::ConfigSpace& space,
+                                           int n) {
+  HETSCHED_TRACE_SPAN_VAR(obs_span, "search", "rank_all");
+  if (opts_.use_cache) cache_.bind(estimator_fingerprint(est));
+  const std::size_t count = space.size();
+  stats_ = EngineStats{};
+  stats_.candidates = count;
+  const std::uint64_t hits0 = cache_.hits();
+  const std::uint64_t misses0 = cache_.misses();
+  const std::uint64_t evictions0 = cache_.evictions();
+  const std::uint64_t steals0 = pool_.steals();
+
+  std::vector<core::Ranked> out(count);
+  pool_.parallel_for(count, [&](std::size_t i) {
+    cluster::Config cfg = space.config_at(i);
+    const Seconds t = priced(est, cfg, n);
+    out[i] = core::Ranked{std::move(cfg), t};
   });
 
-  // Deterministic reduction: serial scan in task order, min by
-  // (estimate, enumeration index).
-  const Local* best = nullptr;
-  for (const Local& L : locals) {
-    stats_.visited += L.visited;
-    stats_.pruned += L.pruned;
-    stats_.uncovered += L.uncovered;
-    stats_.batch_evals += L.batch_evals;
-    // Leaves priced per top-level task: the spread of this histogram is
-    // the work-balance story of the sweep.
-    HETSCHED_HISTOGRAM_RECORD("search.task_leaves", L.visited);
-    if (L.idx == core::ConfigSpace::npos) continue;
-    if (best == nullptr || L.est < best->est ||
-        (L.est == best->est && L.idx < best->idx))
-      best = &L;
-  }
+  // Uncovered candidates carry NaN; drop them keeping enumeration order,
+  // then sort stably — element-wise identical to serial core::rank_all.
+  out.erase(std::remove_if(
+                out.begin(), out.end(),
+                [](const core::Ranked& r) { return std::isnan(r.estimate); }),
+            out.end());
+  stats_.visited = count;
+  stats_.uncovered = count - out.size();
+  std::stable_sort(out.begin(), out.end(),
+                   [](const core::Ranked& a, const core::Ranked& b) {
+                     return a.estimate < b.estimate;
+                   });
   stats_.cache_hits = cache_.hits() - hits0;
   stats_.cache_misses = cache_.misses() - misses0;
   stats_.cache_evictions = cache_.evictions() - evictions0;
   stats_.steals = pool_.steals() - steals0;
   flush_stats_to_metrics(stats_);
   HETSCHED_GAUGE_SET("search.cache.entries", cache_.size());
+  obs_span.arg("candidates", static_cast<long long>(count))
+      .arg("n", n)
+      .arg("cache_hits", static_cast<long long>(stats_.cache_hits));
+  return out;
+}
+
+core::Ranked Engine::best(const core::Estimator& est,
+                          const core::ConfigSpace& space, int n) {
+  HETSCHED_TRACE_SPAN_VAR(obs_span, "search", "best");
+  const core::BatchEstimator batch(est, space, n);
+  TopK r = top_k(est, space, batch, Query{}, opts_, &pool_);
+  stats_ = r.stats;
+  flush_stats_to_metrics(stats_);
   obs_span.arg("candidates", static_cast<long long>(stats_.candidates))
       .arg("n", n)
       .arg("visited", static_cast<long long>(stats_.visited))
       .arg("pruned", static_cast<long long>(stats_.pruned));
-  HETSCHED_CHECK(best != nullptr,
+  HETSCHED_CHECK(!r.best.empty(),
                  "search::Engine::best: models cover no candidate "
                  "configuration");
-  return core::Ranked{space.config_at(best->idx), best->est};
+  return std::move(r.best.front());
 }
 
 }  // namespace hetsched::search

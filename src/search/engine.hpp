@@ -1,38 +1,21 @@
-// Parallel pruned configuration-search engine.
-//
-// Replaces the serial argmin loop of core/optimizer as the production
-// search path (the serial `best_exhaustive` stays as the test oracle).
-// Four mechanisms, all result-preserving:
-//
-//  * Parallel evaluation over a support::WorkStealingPool. Candidates
-//    are indexed (ConfigSpace::config_at), results land in per-index
-//    slots, and the reduction runs serially in index order — so the
-//    answer is bit-identical to the serial one for any thread count and
-//    any steal pattern.
-//  * Branch-and-bound pruning over the per-kind choice tree, kinds
-//    ordered slowest-first so the optimistic bound grows early. A
-//    subtree is cut only when its lower bound strictly exceeds the
-//    incumbent, which keeps every potential tie alive and the argmin
-//    (with its enumeration-order tie-break) exact. The bound is
-//    maintained *incrementally*: the estimator-transform map is applied
-//    per (kind, choice) once up front, and a child's bound is one max()
-//    against its parent's — exact because the transform envelope is
-//    monotone. See DESIGN.md §5 (notes 11 and 15).
-//  * Batched leaf evaluation: once a surviving subtree holds at most
-//    `batch_leaves` leaves, its candidates are priced in one
-//    core::BatchEstimator sweep over a structure-of-arrays coefficient
-//    snapshot — no Config construction, no cache-key strings, no
-//    allocation per leaf. Values are bit-identical to the scalar path.
-//  * Sharded (config, n) estimate memoization (search/cache.hpp), bound
-//    to an estimator fingerprint so model rebuilds invalidate it
-//    (rank_all / try_estimate; batched best() leaves bypass it — the
-//    snapshot sweep is cheaper than the key hash).
+// The one argmin: `top_k` answers Engine::best and the daemon's `advise`
+// with the `top` best candidates by (estimate, enumeration index) under
+// `advise`'s constraints, bit-identical to the serial core::rank_all
+// filtered by them. A branch-and-bound over the per-kind choice tree
+// with an incrementally carried admissible bound cuts a subtree only
+// when its bound strictly exceeds the k-th best found so far; the
+// constraints cut infeasible subtrees; subtrees of at most
+// `batch_leaves` leaves are priced in one core::BatchEstimator sweep;
+// tasks may fan out over a support::WorkStealingPool and merge
+// serially (DESIGN.md §5 notes 11, 15 and 20). Engine also keeps the
+// sharded (config, n) estimate memo (search/cache.hpp) of rank_all and
+// try_estimate.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -56,12 +39,10 @@ struct EngineOptions {
   /// Top-level subtree tasks generated per pool thread; more tasks =
   /// better balance, more scheduling overhead.
   std::size_t tasks_per_thread = 8;
-  /// Batched leaf evaluation (core::BatchEstimator) for best(): a
-  /// subtree with at most `batch_leaves` remaining leaves is priced in
-  /// one SoA sweep instead of leaf-at-a-time. Pruning *within* such a
+  /// A subtree with at most `batch_leaves` (>= 1) remaining leaves is
+  /// priced in one core::BatchEstimator sweep. Pruning *within* such a
   /// subtree is forgone (its root was already checked), which can only
-  /// raise stats().visited, never change the argmin.
-  bool use_batch = true;
+  /// raise stats().visited, never change the answer.
   std::size_t batch_leaves = 256;
   /// Work stealing between the pool's per-context deques; off = fixed
   /// round-robin partitioning (the differential tests toggle this).
@@ -79,20 +60,44 @@ struct EngineOptions {
   bool debug_check_bounds = false;
 };
 
-/// Counters from the last best()/rank_all() call. The same quantities
-/// are accumulated process-wide into the `search.*` metrics
+/// Counters from the last best()/rank_all() call (or one top_k). Engine
+/// accumulates them process-wide into the `search.*` metrics
 /// (hetsched::obs::snapshot()) across all engines and calls.
 struct EngineStats {
   std::size_t candidates = 0;   ///< size of the searched space
   std::size_t visited = 0;      ///< leaves priced (from cache or estimator)
   std::size_t pruned = 0;       ///< leaves skipped by bound cuts
   std::size_t uncovered = 0;    ///< visited leaves the models cannot price
-  std::size_t batch_evals = 0;  ///< leaves priced via the batched SoA path
+  std::size_t batch_evals = 0;  ///< leaves priced via the batched sweep
   std::uint64_t steals = 0;     ///< pool chunks migrated between contexts
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;  ///< entries displaced (bounded cache)
 };
+
+/// What `advise` asks for (docs/SERVER.md §4.3): the `top` best
+/// candidates that use none of the `exclude`d kinds and run at most
+/// `max_total_procs` processes (0 = no limit).
+struct Query {
+  std::size_t top = 1;
+  std::vector<std::string> exclude;
+  int max_total_procs = 0;
+};
+
+struct TopK {
+  std::vector<core::Ranked> best;  ///< at most `top`, in answer order
+  std::size_t covered = 0;  ///< feasible candidates the models cover
+  EngineStats stats;        ///< its cache counters stay zero
+};
+
+/// Answers `query` at `batch.n()`, pricing leaves only through `batch`
+/// (a snapshot of `est` over `space`; `est` gives the bounds), over
+/// `pool` when given, else on the calling thread. Reentrant. O(tree
+/// minus pruned and infeasible subtrees), O(space.size()) at worst.
+TopK top_k(const core::Estimator& est, const core::ConfigSpace& space,
+           const core::BatchEstimator& batch, const Query& query,
+           const EngineOptions& opts = {},
+           support::WorkStealingPool* pool = nullptr);
 
 /// Parallel branch-and-bound configuration search.
 ///
@@ -108,12 +113,14 @@ struct EngineStats {
 /// Θ(space.size()) estimates plus an O(k log k) sort of the covered k.
 class Engine {
  public:
+  /// Throws unless opts.batch_leaves >= 1.
   explicit Engine(EngineOptions opts = {});
 
   /// The argmin configuration — config *and* estimate exactly equal to
-  /// core::best_exhaustive's answer. Throws if no candidate is covered.
-  /// Emits a "search/best" trace span and accumulates `search.*`
-  /// metrics.
+  /// core::best_exhaustive's answer: top_k over the engine's pool with
+  /// a BatchEstimator built for the call. Throws if no candidate is
+  /// covered. Emits a "search/best" trace span and accumulates
+  /// `search.*` metrics.
   core::Ranked best(const core::Estimator& est,
                     const core::ConfigSpace& space, int n);
 
@@ -141,21 +148,10 @@ class Engine {
   Seconds priced(const core::Estimator& est, const cluster::Config& config,
                  int n);
 
-  /// The SoA snapshot for (est, space, n), rebuilt only when the
-  /// estimator fingerprint, the space shape or n changes — repeated
-  /// sweeps (capacity planning, warm benches) reuse it.
-  const core::BatchEstimator& batch_for(const core::Estimator& est,
-                                        const core::ConfigSpace& space,
-                                        int n);
-
   EngineOptions opts_;
   support::WorkStealingPool pool_;
   EstimateCache cache_;
   EngineStats stats_;
-  std::unique_ptr<core::BatchEstimator> batch_;
-  std::uint64_t batch_fingerprint_ = 0;
-  std::uint64_t batch_space_sig_ = 0;
-  int batch_n_ = 0;
 };
 
 }  // namespace hetsched::search

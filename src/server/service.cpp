@@ -12,6 +12,7 @@
 // is a scrape endpoint, not instrumentation, so the direct dependency
 // is intentional. hetsched-lint: allow(obs-direct)
 #include "obs/metrics.hpp"
+#include "search/engine.hpp"
 #include "support/error.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -96,8 +97,11 @@ int require_int(const json::Value& v, const char* name, int limit) {
   return static_cast<int>(d);
 }
 
-/// "config" request member: [[kind, pes, m], ...] → cluster::Config.
-cluster::Config parse_config(const json::Value& v) {
+/// "config" request member: [[kind, pes, m], ...] → cluster::Config. A
+/// kind named twice or more PEs than the cluster has is bad-request; an
+/// unknown kind passes to be reported uncovered (docs/SERVER.md §4.3).
+cluster::Config parse_config(const json::Value& v,
+                             const cluster::ClusterSpec& spec) {
   if (!v.is_array() || v.as_array().empty())
     bad_request("config must be a non-empty array of [kind, pes, m]");
   cluster::Config config;
@@ -111,6 +115,15 @@ cluster::Config parse_config(const json::Value& v) {
     u.kind = t[0].as_string();
     u.pes = require_int(t[1], "config entry pes", 1 << 20);
     u.procs_per_pe = require_int(t[2], "config entry m", 1 << 20);
+    for (const auto& prev : config.usage)
+      if (prev.kind == u.kind)
+        bad_request("config names kind " + u.kind + " twice");
+    int available = 0;
+    for (const auto& node : spec.nodes)
+      if (node.kind.name == u.kind) available += node.cpus;
+    if (available > 0 && u.pes > available)
+      bad_request("config uses " + std::to_string(u.pes) + " PEs of kind " +
+                  u.kind + "; the cluster has " + std::to_string(available));
     config.usage.push_back(std::move(u));
   }
   return config;
@@ -141,18 +154,17 @@ void append_config(std::string& out, const cluster::Config& config) {
 
 struct AdviseParams {
   int n = 0;
-  int top = 1;
-  std::vector<std::string> exclude;  // sorted, deduplicated
-  int max_total_procs = 0;           // 0 = unconstrained
+  search::Query query;  // exclude sorted and deduplicated
 };
 
 AdviseParams parse_advise(const json::Value& req, int max_top) {
   AdviseParams p;
+  search::Query& q = p.query;
   const json::Value* n = req.find("n");
   if (n == nullptr) bad_request("advise requires n");
   p.n = require_int(*n, "n", 1 << 30);
   if (const json::Value* top = req.find("top"))
-    p.top = require_int(*top, "top", max_top);
+    q.top = static_cast<std::size_t>(require_int(*top, "top", max_top));
   if (const json::Value* c = req.find("constraints")) {
     if (!c->is_object()) bad_request("constraints must be an object");
     for (const auto& [key, value] : c->as_object()) {
@@ -162,19 +174,19 @@ AdviseParams parse_advise(const json::Value& req, int max_top) {
         for (const auto& k : value.as_array()) {
           if (!k.is_string())
             bad_request("constraints.exclude entries must be strings");
-          p.exclude.push_back(k.as_string());
+          q.exclude.push_back(k.as_string());
         }
       } else if (key == "max_total_procs") {
-        p.max_total_procs = require_int(value, "constraints.max_total_procs",
+        q.max_total_procs = require_int(value, "constraints.max_total_procs",
                                         1 << 20);
       } else {
         bad_request("unknown constraint: " + key);
       }
     }
   }
-  std::sort(p.exclude.begin(), p.exclude.end());
-  p.exclude.erase(std::unique(p.exclude.begin(), p.exclude.end()),
-                  p.exclude.end());
+  std::sort(q.exclude.begin(), q.exclude.end());
+  q.exclude.erase(std::unique(q.exclude.begin(), q.exclude.end()),
+                  q.exclude.end());
   return p;
 }
 
@@ -189,14 +201,14 @@ std::string advise_cache_key(const ModelSnapshot& snap,
   key += "|n=";
   key += std::to_string(p.n);
   key += "|top=";
-  key += std::to_string(p.top);
+  key += std::to_string(p.query.top);
   key += "|x=";
-  for (const auto& k : p.exclude) {
+  for (const auto& k : p.query.exclude) {
     key += k;
     key += ',';
   }
   key += "|p=";
-  key += std::to_string(p.max_total_procs);
+  key += std::to_string(p.query.max_total_procs);
   return key;
 }
 
@@ -211,91 +223,13 @@ std::string estimate_cache_key(const ModelSnapshot& snap,
   return key;
 }
 
-/// Full-space argmin sweep over the snapshot's warmed batch estimator.
-/// Deterministic: candidates are priced in enumeration order and ties
-/// keep that order, exactly like core::rank_all. Returns the canonical
-/// result document.
+/// The argmin query (search::top_k on the snapshot's warmed batch
+/// estimator, on the calling thread) as its canonical result document.
 std::string advise_result(const ModelSnapshot& snap, const AdviseParams& p) {
-  const auto batch = snap.batch_for(p.n);
-  const auto& kinds = snap.space().kinds();
-  const std::size_t kind_count = kinds.size();
-
-  // Per-kind choice metadata for constraint checks during the sweep.
-  std::vector<std::size_t> counts(kind_count);
-  std::vector<std::vector<int>> choice_procs(kind_count);
-  std::vector<std::vector<unsigned char>> choice_ok(kind_count);
-  std::size_t total_rows = 1;
-  for (std::size_t k = 0; k < kind_count; ++k) {
-    const bool excluded = std::binary_search(p.exclude.begin(),
-                                             p.exclude.end(), kinds[k].kind);
-    counts[k] = kinds[k].choices.size();
-    total_rows *= counts[k];
-    choice_procs[k].reserve(counts[k]);
-    choice_ok[k].reserve(counts[k]);
-    for (const auto& [pes, m] : kinds[k].choices) {
-      choice_procs[k].push_back(pes * m);
-      choice_ok[k].push_back(pes == 0 || !excluded ? 1 : 0);
-    }
-  }
-
-  // Odometer sweep in chunks: kind 0's choice varies fastest, matching
-  // ConfigSpace::all() enumeration order.
-  constexpr std::size_t kChunk = 512;
-  std::vector<std::size_t> idx(kind_count, 0);
-  std::vector<std::size_t> rows(kChunk * kind_count);
-  std::vector<Seconds> est(kChunk);
-  std::vector<unsigned char> feasible(kChunk);
-  core::BatchEstimator::Scratch scratch = batch->make_scratch();
-
-  struct Hit {
-    Seconds t;
-    std::size_t rank;  // raw odometer rank — the deterministic tiebreak
-  };
-  std::vector<Hit> best;  // ascending (t, rank), size <= top
-  std::size_t covered = 0;
-
-  std::size_t rank = 0;
-  while (rank < total_rows) {
-    const std::size_t chunk = std::min(kChunk, total_rows - rank);
-    for (std::size_t r = 0; r < chunk; ++r) {
-      int procs = 0;
-      bool ok = true;
-      for (std::size_t k = 0; k < kind_count; ++k) {
-        const std::size_t c = idx[k];
-        rows[r * kind_count + k] = c;
-        procs += choice_procs[k][c];
-        ok = ok && choice_ok[k][c] != 0;
-      }
-      if (p.max_total_procs != 0 && procs > p.max_total_procs) ok = false;
-      feasible[r] = ok ? 1 : 0;
-      // advance the odometer (kind 0 fastest)
-      for (std::size_t k = 0; k < kind_count; ++k) {
-        if (++idx[k] < counts[k]) break;
-        idx[k] = 0;
-      }
-    }
-    batch->estimate_rows(rows.data(), chunk, est.data(), scratch);
-    for (std::size_t r = 0; r < chunk; ++r) {
-      if (!feasible[r] || std::isnan(est[r])) continue;
-      ++covered;
-      const Hit h{est[r], rank + r};
-      if (best.size() < std::size_t(p.top)) {
-        best.push_back(h);
-        std::sort(best.begin(), best.end(), [](const Hit& a, const Hit& b) {
-          return a.t < b.t || (a.t == b.t && a.rank < b.rank);
-        });
-      } else if (h.t < best.back().t ||
-                 (h.t == best.back().t && h.rank < best.back().rank)) {
-        best.back() = h;
-        std::sort(best.begin(), best.end(), [](const Hit& a, const Hit& b) {
-          return a.t < b.t || (a.t == b.t && a.rank < b.rank);
-        });
-      }
-    }
-    rank += chunk;
-  }
-
-  if (best.empty())
+  const search::TopK found =
+      search::top_k(snap.estimator(), snap.space(), *snap.batch_for(p.n),
+                    p.query);
+  if (found.best.empty())
     throw RequestError{errc::kUncovered,
                        "no candidate satisfies the constraints and is "
                        "covered by the model set"};
@@ -305,23 +239,13 @@ std::string advise_result(const ModelSnapshot& snap, const AdviseParams& p) {
   out += ",\"candidates\":";
   out += json_int(static_cast<std::int64_t>(snap.candidates()));
   out += ",\"covered\":";
-  out += json_int(static_cast<std::int64_t>(covered));
+  out += json_int(static_cast<std::int64_t>(found.covered));
   out += ",\"best\":[";
-  for (std::size_t i = 0; i < best.size(); ++i) {
+  for (std::size_t i = 0; i < found.best.size(); ++i) {
     if (i != 0) out += ',';
-    // Decode the raw rank back into the candidate configuration.
-    cluster::Config config;
-    std::size_t rest = best[i].rank;
-    for (std::size_t k = 0; k < kind_count; ++k) {
-      const std::size_t c = rest % counts[k];
-      rest /= counts[k];
-      const auto& [pes, m] = kinds[k].choices[c];
-      if (pes > 0)
-        config.usage.push_back(cluster::KindUsage{kinds[k].kind, pes, m});
-    }
-    append_config(out, config);  // leaves the object open
+    append_config(out, found.best[i].config);  // leaves the object open
     out += ",\"t\":";
-    out += json_number(best[i].t);
+    out += json_number(found.best[i].estimate);
     out += '}';
   }
   out += "]}";
@@ -597,7 +521,8 @@ std::string Service::handle_parsed(const std::string& payload,
       const int size = require_int(*n, "n", 1 << 30);
       const json::Value* cfg = req.find("config");
       if (cfg == nullptr) bad_request("estimate requires config");
-      const cluster::Config config = parse_config(*cfg);
+      const cluster::Config config =
+          parse_config(*cfg, snap->estimator().spec());
       meta.n = size;
       const std::string key = estimate_cache_key(*snap, config, size);
       if (auto cached = cache_.lookup(key)) {
@@ -623,7 +548,7 @@ std::string Service::handle_parsed(const std::string& payload,
       }
       meta.cache = 2;
       HETSCHED_COUNTER_ADD("server.cache_misses", 1);
-      HETSCHED_TRACE_SPAN("server", "advise_sweep");
+      HETSCHED_TRACE_SPAN("server", "advise_search");
       const std::string result = advise_result(*snap, params);
       cache_.insert(key, result);
       return ok_response(id, result);
@@ -659,7 +584,8 @@ std::string Service::handle_parsed(const std::string& payload,
       const int size = require_int(*n, "n", 1 << 30);
       const json::Value* cfg = req.find("config");
       if (cfg == nullptr) bad_request("observe requires config");
-      const cluster::Config config = parse_config(*cfg);
+      const cluster::Config config =
+          parse_config(*cfg, snap->estimator().spec());
       meta.n = size;
       const json::Value* measured = req.find("measured");
       if (measured == nullptr) bad_request("observe requires measured");

@@ -267,22 +267,17 @@ TEST(EngineContracts, StolenSubtreeBoundEqualsFromScratchRecomputation) {
       make_estimator(spec, {200.0, 800.0, 1800.0}, 3, false);
   est.add_adjustment("kind1", 2, core::LinearMap{0.85, -5.0});
   const core::Ranked oracle = core::best_exhaustive(est, space, 2400);
-  for (const bool use_batch : {false, true}) {
-    search::EngineOptions opts;
-    opts.threads = 16;
-    opts.tasks_per_thread = 8;
-    opts.use_work_stealing = true;
-    opts.use_batch = use_batch;
-    opts.batch_leaves = 8;
-    opts.debug_check_bounds = true;
-    search::Engine engine(opts);
-    for (int rep = 0; rep < 5; ++rep) {
-      const core::Ranked got = engine.best(est, space, 2400);
-      EXPECT_EQ(got.config, oracle.config)
-          << "batch=" << use_batch << " rep=" << rep;
-      EXPECT_EQ(got.estimate, oracle.estimate)
-          << "batch=" << use_batch << " rep=" << rep;
-    }
+  search::EngineOptions opts;
+  opts.threads = 16;
+  opts.tasks_per_thread = 8;
+  opts.use_work_stealing = true;
+  opts.batch_leaves = 8;
+  opts.debug_check_bounds = true;
+  search::Engine engine(opts);
+  for (int rep = 0; rep < 5; ++rep) {
+    const core::Ranked got = engine.best(est, space, 2400);
+    EXPECT_EQ(got.config, oracle.config) << "rep=" << rep;
+    EXPECT_EQ(got.estimate, oracle.estimate) << "rep=" << rep;
   }
 }
 

@@ -244,7 +244,8 @@ TEST(IncrementalQr, UpdateMatchesFullRefitOnRandomWindows) {
     QrFactors f = qr_empty(cols);
     double sum_y = 0.0;
     for (std::size_t i = 0; i < rows; ++i) {
-      qr_add_row(f, w.a.row(i), w.b[i]);
+      std::vector<double> row(w.a.row(i).begin(), w.a.row(i).end());
+      qr_add_row(f, row, w.b[i]);
       sum_y += w.b[i];
     }
     const LlsResult full = solve_lls(w.a, w.b);
@@ -307,17 +308,19 @@ TEST(SlidingWindow, WeightedWindowsMatchRobustRefit) {
 TEST(IncrementalQr, GuardsRejectMalformedInput) {
   EXPECT_THROW(qr_empty(0), Error);
   QrFactors f = qr_empty(2);
-  EXPECT_THROW(qr_add_row(f, std::vector<double>{1.0}, 1.0), Error);
+  std::vector<double> narrow{1.0};
+  EXPECT_THROW(qr_add_row(f, narrow, 1.0), Error);
+  std::vector<double> nan_row{1.0, std::nan("")};
+  EXPECT_THROW(qr_add_row(f, nan_row, 1.0), Error);
+  std::vector<double> row{1.0, 2.0};
   EXPECT_THROW(
-      qr_add_row(f, std::vector<double>{1.0, std::nan("")}, 1.0), Error);
-  EXPECT_THROW(qr_add_row(f, std::vector<double>{1.0, 2.0},
-                          std::numeric_limits<double>::infinity()),
-               Error);
+      qr_add_row(f, row, std::numeric_limits<double>::infinity()), Error);
   // Fewer rows than coefficients: underdetermined, must throw.
-  qr_add_row(f, std::vector<double>{1.0, 2.0}, 1.0);
+  qr_add_row(f, row, 1.0);
   EXPECT_THROW(qr_solve(f, 1, 1.0), Error);
   // Rank-deficient factor (duplicate direction only).
-  qr_add_row(f, std::vector<double>{2.0, 4.0}, 2.0);
+  std::vector<double> twice{2.0, 4.0};
+  qr_add_row(f, twice, 2.0);
   EXPECT_THROW(qr_solve(f, 2, 3.0), Error);
 }
 

@@ -1,15 +1,19 @@
-// Differential suite for the batched estimation hot path: on randomized
-// seeded fixtures (over a thousand candidate rows in total, including
-// memory-bin and adjustment configurations), core::BatchEstimator must
-// return the exact IEEE-754 double Estimator::estimate returns — not
-// "close", bitwise equal — and search::Engine's argmin/cost must be
-// unchanged by every combination of the batching and work-stealing
-// toggles. Any FP re-association in the SoA snapshot, any drift in the
-// covers()/adjustment/paged semantics, shows up here as a bit mismatch.
+// Differential suite for the batched estimation hot path and the one
+// argmin built on it. On randomized seeded fixtures (over a thousand
+// candidate rows in total, including memory-bin and adjustment
+// configurations), core::BatchEstimator must return the exact IEEE-754
+// double Estimator::estimate returns — not "close", bitwise equal — and
+// search::top_k must return exactly the front of core::rank_all
+// filtered by `advise`'s constraints, with its `covered` count, for
+// every thread count, steal setting and batch size. Any FP
+// re-association in the SoA snapshot, any drift in the
+// covers()/adjustment/paged semantics, any over-eager cut shows up here
+// as a mismatch.
 #include "core/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +25,7 @@
 #include "search/engine.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
+#include "support/work_steal.hpp"
 
 namespace hetsched::core {
 namespace {
@@ -128,11 +133,15 @@ std::size_t compare_all_rows(const Fixture& fx, int n,
       odo /= kinds[k].choices.size();
     }
     const Seconds got = batch.estimate_row(idx.data(), scratch);
-    const std::size_t cand = fx.space.candidate_index(idx);
-    if (cand == ConfigSpace::npos) {
+    cluster::Config cfg;
+    for (std::size_t k = 0; k < K; ++k) {
+      const auto [pes, m] = kinds[k].choices[idx[k]];
+      if (pes > 0)
+        cfg.usage.push_back(cluster::KindUsage{kinds[k].kind, pes, m});
+    }
+    if (cfg.usage.empty()) {
       EXPECT_TRUE(std::isnan(got)) << context << " all-absent row";
     } else {
-      const cluster::Config cfg = fx.space.config_at(cand);
       if (!fx.est.covers(cfg)) {
         EXPECT_TRUE(std::isnan(got)) << context << " row=" << r
                                      << " cfg=" << cfg.to_string();
@@ -218,41 +227,32 @@ TEST(EngineBatchParity, ArgminUnchangedAcrossBatchAndStealingToggles) {
     const core::Ranked oracle = core::best_exhaustive(fx.est, fx.space, n);
     const auto oracle_ranked = core::rank_all(fx.est, fx.space, n);
 
-    for (const bool use_batch : {false, true}) {
-      for (const bool stealing : {false, true}) {
-        for (const std::size_t batch_leaves : {std::size_t{4},
-                                               std::size_t{256}}) {
-          if (!use_batch && batch_leaves != std::size_t{4})
-            continue;  // batch_leaves is inert with batching off
-          EngineOptions opts;
-          opts.threads = 4;
-          opts.use_batch = use_batch;
-          opts.batch_leaves = batch_leaves;
-          opts.use_work_stealing = stealing;
-          opts.debug_check_bounds = true;
-          Engine engine(opts);
-          const std::string ctx =
-              "trial=" + std::to_string(trial) + " batch=" +
-              std::to_string(use_batch) + " leaves=" +
-              std::to_string(batch_leaves) + " steal=" +
-              std::to_string(stealing);
+    for (const bool stealing : {false, true}) {
+      for (const std::size_t batch_leaves : {std::size_t{4},
+                                             std::size_t{256}}) {
+        EngineOptions opts;
+        opts.threads = 4;
+        opts.batch_leaves = batch_leaves;
+        opts.use_work_stealing = stealing;
+        opts.debug_check_bounds = true;
+        Engine engine(opts);
+        const std::string ctx =
+            "trial=" + std::to_string(trial) + " leaves=" +
+            std::to_string(batch_leaves) + " steal=" +
+            std::to_string(stealing);
 
-          const core::Ranked got = engine.best(fx.est, fx.space, n);
-          EXPECT_EQ(got.config, oracle.config) << ctx;
-          EXPECT_EQ(got.estimate, oracle.estimate) << ctx;
-          if (use_batch)
-            EXPECT_GT(engine.stats().batch_evals, 0u) << ctx;
-          else
-            EXPECT_EQ(engine.stats().batch_evals, 0u) << ctx;
+        const core::Ranked got = engine.best(fx.est, fx.space, n);
+        EXPECT_EQ(got.config, oracle.config) << ctx;
+        EXPECT_EQ(got.estimate, oracle.estimate) << ctx;
+        EXPECT_GT(engine.stats().batch_evals, 0u) << ctx;
 
-          const auto ranked = engine.rank_all(fx.est, fx.space, n);
-          ASSERT_EQ(ranked.size(), oracle_ranked.size()) << ctx;
-          for (std::size_t i = 0; i < ranked.size(); ++i) {
-            EXPECT_EQ(ranked[i].config, oracle_ranked[i].config)
-                << ctx << " i=" << i;
-            EXPECT_EQ(ranked[i].estimate, oracle_ranked[i].estimate)
-                << ctx << " i=" << i;
-          }
+        const auto ranked = engine.rank_all(fx.est, fx.space, n);
+        ASSERT_EQ(ranked.size(), oracle_ranked.size()) << ctx;
+        for (std::size_t i = 0; i < ranked.size(); ++i) {
+          EXPECT_EQ(ranked[i].config, oracle_ranked[i].config)
+              << ctx << " i=" << i;
+          EXPECT_EQ(ranked[i].estimate, oracle_ranked[i].estimate)
+              << ctx << " i=" << i;
         }
       }
     }
@@ -270,14 +270,97 @@ TEST(EngineBatchParity, BatchedSweepVisitsEveryLeafWithPruningOff) {
     if (!covered) continue;
     EngineOptions opts;
     opts.prune = false;
-    opts.use_batch = true;
     Engine engine(opts);
     (void)engine.best(fx.est, fx.space, 1000);
-    // No pruning and full batching: every candidate is priced, and all
-    // of them through the SoA path.
+    // No pruning: every candidate is priced, all of them through the
+    // batched sweep.
     EXPECT_EQ(engine.stats().visited, fx.space.size());
     EXPECT_EQ(engine.stats().batch_evals, fx.space.size());
   }
+}
+
+
+/// Whether `cfg` meets `q`'s constraints: no excluded kind, at most
+/// max_total_procs processes.
+bool feasible(const cluster::Config& cfg, const Query& q) {
+  for (const auto& u : cfg.usage)
+    for (const auto& x : q.exclude)
+      if (u.kind == x) return false;
+  return q.max_total_procs == 0 || cfg.total_procs() <= q.max_total_procs;
+}
+
+TEST(TopKParity, MatchesFilteredRankAllUnderConstraints) {
+  // The oracle: core::rank_all (every covered candidate, ascending
+  // estimate, ties in enumeration order) filtered by the constraints;
+  // its length is the brute-force `covered` count. Every query runs
+  // serially and over pools of one and four threads with stealing on
+  // and off, with the bound sweep on and batches small enough that the
+  // tree is walked and cut on most fixtures.
+  support::WorkStealingPool one(1), four_steal(4, true), four_fixed(4, false);
+  const std::vector<support::WorkStealingPool*> pools{nullptr, &one,
+                                                      &four_steal, &four_fixed};
+  Rng rng(20261019);
+  std::size_t cases = 0, cut_cases = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const core::Fixture fx =
+        core::random_fixture(rng, /*with_memory=*/trial % 2 == 1);
+    const int n = 600 + static_cast<int>(rng.uniform_index(8)) * 500;
+    const auto ranked = core::rank_all(fx.est, fx.space, n);
+    const core::BatchEstimator batch(fx.est, fx.space, n);
+    const auto& kinds = fx.space.kinds();
+    int max_procs = 0;
+    for (const auto& k : kinds) {
+      int most = 0;
+      for (const auto& [pes, m] : k.choices) most = std::max(most, pes * m);
+      max_procs += most;
+    }
+
+    for (int qi = 0; qi < 8; ++qi) {
+      Query q;
+      const std::size_t tops[] = {1, 2, 3, 8, fx.space.size()};
+      q.top = tops[rng.uniform_index(5)];
+      for (const auto& k : kinds)
+        if (rng.uniform() < 0.3) q.exclude.push_back(k.kind);
+      if (rng.uniform() < 0.6)
+        q.max_total_procs = 1 + static_cast<int>(rng.uniform_index(
+                                    static_cast<std::size_t>(max_procs)));
+
+      std::vector<core::Ranked> want;
+      for (const auto& r : ranked)
+        if (feasible(r.config, q)) want.push_back(r);
+      const std::size_t covered = want.size();
+      if (want.size() > q.top) want.resize(q.top);
+
+      EngineOptions opts;
+      opts.debug_check_bounds = true;
+      const std::size_t leaves[] = {1, 4, 256};
+      opts.batch_leaves = leaves[rng.uniform_index(3)];
+      for (support::WorkStealingPool* pool : pools) {
+        const std::string ctx =
+            "trial=" + std::to_string(trial) + " q=" + std::to_string(qi) +
+            " top=" + std::to_string(q.top) + " excluded=" +
+            std::to_string(q.exclude.size()) + " procs<=" +
+            std::to_string(q.max_total_procs) + " leaves=" +
+            std::to_string(opts.batch_leaves) + " threads=" +
+            std::to_string(pool ? pool->size() : 0) + " steal=" +
+            std::to_string(pool ? pool->stealing() : false);
+        const TopK got = top_k(fx.est, fx.space, batch, q, opts, pool);
+        ++cases;
+        if (got.stats.pruned > 0) ++cut_cases;
+        EXPECT_EQ(got.covered, covered) << ctx;
+        ASSERT_EQ(got.best.size(), want.size()) << ctx;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got.best[i].config, want[i].config) << ctx << " i=" << i;
+          EXPECT_EQ(core::bits(got.best[i].estimate),
+                    core::bits(want[i].estimate))
+              << ctx << " i=" << i;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 1000u);
+  // The differential must exercise the cuts, not only full sweeps.
+  EXPECT_GT(cut_cases, cases / 20);
 }
 
 }  // namespace

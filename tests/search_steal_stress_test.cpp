@@ -6,6 +6,9 @@
 //    debug bound sweep on — the stolen-subtree contract (an
 //    incrementally carried bound equals the from-scratch recomputation
 //    no matter which context resumed the subtree) asserts inside.
+//  * search::top_k is reentrant: threads sharing one estimator and one
+//    batch snapshot, the way the daemon's request threads answer
+//    `advise`, get the answers a lone caller gets.
 //  * EstimateCache::stats() must be a *consistent* snapshot under
 //    concurrent hammering: per-shard rows summing to the global atomics
 //    is exactly the invariant the old one-shard-at-a-time reader
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "cluster/pe_kind.hpp"
+#include "core/batch.hpp"
 #include "core/optimizer.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
@@ -79,8 +83,7 @@ TEST(StealStress, RepeatedSweepsBitIdenticalUnderOversubscribedStealing) {
   EngineOptions opts;
   opts.threads = 2 * std::thread::hardware_concurrency();
   opts.use_work_stealing = true;
-  opts.use_batch = true;
-  opts.batch_leaves = 16;  // mixed batched/scalar leaves
+  opts.batch_leaves = 16;
   opts.tasks_per_thread = 4;
   opts.debug_check_bounds = true;  // stolen-subtree bound contract
   Engine engine(opts);
@@ -111,6 +114,42 @@ TEST(StealStress, StealingAndFixedPartitioningAgreeBitwise) {
     EXPECT_EQ(a.estimate, b.estimate) << "n=" << n;
   }
   EXPECT_EQ(fixed.stats().steals, 0u);
+}
+
+TEST(StealStress, TopKIsReentrantAcrossThreads) {
+  const Fixture fx = stress_fixture();
+  const core::BatchEstimator batch(fx.est, fx.space, 3200);
+  std::vector<Query> queries(4);
+  queries[1].top = 3;
+  queries[2].top = 5;
+  queries[2].exclude = {"kind1"};
+  queries[3].top = 2;
+  queries[3].max_total_procs = 9;
+  EngineOptions opts;
+  opts.batch_leaves = 8;  // walk the tree
+  std::vector<TopK> lone;
+  for (const Query& q : queries)
+    lone.push_back(top_k(fx.est, fx.space, batch, q, opts));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 25; ++rep) {
+        const std::size_t qi =
+            static_cast<std::size_t>(t + rep) % queries.size();
+        const TopK got = top_k(fx.est, fx.space, batch, queries[qi], opts);
+        bool same = got.covered == lone[qi].covered &&
+                    got.best.size() == lone[qi].best.size();
+        for (std::size_t i = 0; same && i < got.best.size(); ++i)
+          same = got.best[i].config == lone[qi].best[i].config &&
+                 got.best[i].estimate == lone[qi].best[i].estimate;
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(StealStress, CacheStatsSnapshotIsConsistentUnderConcurrency) {

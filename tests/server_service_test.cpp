@@ -18,6 +18,7 @@
 
 #include "core/optimizer.hpp"
 #include "obs/json.hpp"
+#include "search/engine.hpp"
 #include "server_test_util.hpp"
 
 namespace hetsched::server {
@@ -61,6 +62,138 @@ TEST(ServiceSemantics, AdviseMatchesSerialRankAll) {
     for (std::size_t i = 0; i < best.size(); ++i) {
       EXPECT_EQ(best[i].first, ranked[i].config.to_string()) << "n=" << n;
       EXPECT_EQ(best[i].second, ranked[i].estimate) << "n=" << n;
+    }
+  }
+}
+
+TEST(ServiceSemantics, PrunedAdviseMatchesTheDocumentRenderedFromRankAll) {
+  // Three kinds of four PEs at m 1..4: 17^3 rows (17^2 with a kind
+  // excluded), more than one batch, so the search walks the tree and
+  // cuts subtrees. Its answer must be the bytes rendered from the
+  // serial oracle.
+  cluster::ClusterSpec spec;
+  std::vector<core::ConfigSpace::KindRange> ranges;
+  core::EstimatorOptions opts;
+  opts.check_memory = false;
+  for (const char* name : {"k0", "k1", "k2"}) {
+    cluster::PeKind kind = cluster::pentium2_400();
+    kind.name = name;
+    for (int i = 0; i < 4; ++i)
+      spec.nodes.push_back(cluster::NodeSpec{kind, 1, 768 * kMiB});
+    ranges.push_back(core::ConfigSpace::KindRange{name, 1, 4, 1, 4, true});
+  }
+  core::Estimator est(spec, opts);
+  for (int k = 0; k < 3; ++k) {
+    const std::string name = "k" + std::to_string(k);
+    const double work = 300.0 * (1 + 2 * k);
+    for (int m = 1; m <= 4; ++m) {
+      est.add_pt(name, m,
+                 testutil::fitted_pt(work * (1 + 0.07 * m), 1.0 + 0.5 * k));
+      est.add_nt(core::NtKey{name, 1, m},
+                 core::NtModel({0, 0, 0, work * (1 + 0.1 * m)}, {0, 0, 0.6}));
+    }
+  }
+  const core::ConfigSpace space = core::ConfigSpace::ranges(ranges);
+  const auto snap = std::make_shared<const ModelSnapshot>(est, space);
+  Service service(snap);
+  for (const int n : {1200, 4800}) {
+    for (const std::string& constraints :
+         {std::string(), std::string("{\"exclude\":[\"k1\"]}"),
+          std::string("{\"max_total_procs\":20}")}) {
+      search::Query q;
+      q.top = 4;
+      if (constraints.find("k1") != std::string::npos) q.exclude = {"k1"};
+      if (constraints.find("max") != std::string::npos) q.max_total_procs = 20;
+      const search::TopK pruned =
+          search::top_k(est, space, *snap->batch_for(n), q);
+      EXPECT_GT(pruned.stats.pruned, 0u) << constraints;
+
+      std::vector<core::Ranked> want;
+      for (const auto& r : core::rank_all(est, space, n)) {
+        const bool excluded =
+            !q.exclude.empty() &&
+            r.config.to_string().find("k1") != std::string::npos;
+        if (excluded || (q.max_total_procs != 0 &&
+                         r.config.total_procs() > q.max_total_procs))
+          continue;
+        want.push_back(r);
+      }
+      std::string doc = "{\"n\":";
+      doc += json::json_int(n);
+      doc += ",\"candidates\":";
+      doc += json::json_int(static_cast<std::int64_t>(space.size()));
+      doc += ",\"covered\":";
+      doc += json::json_int(static_cast<std::int64_t>(want.size()));
+      doc += ",\"best\":[";
+      for (std::size_t i = 0; i < std::min<std::size_t>(4, want.size()); ++i) {
+        if (i != 0) doc += ',';
+        doc += "{\"label\":";
+        doc += json::json_quote(want[i].config.to_string());
+        doc += ",\"config\":[";
+        for (std::size_t u = 0; u < want[i].config.usage.size(); ++u) {
+          const auto& usage = want[i].config.usage[u];
+          if (u != 0) doc += ',';
+          doc += '[';
+          doc += json::json_quote(usage.kind);
+          doc += ',';
+          doc += json::json_int(usage.pes);
+          doc += ',';
+          doc += json::json_int(usage.procs_per_pe);
+          doc += ']';
+        }
+        doc += "],\"t\":";
+        doc += json::json_number(want[i].estimate);
+        doc += '}';
+      }
+      doc += "]}";
+      EXPECT_EQ(service.handle_payload(advise_req(n, 4, constraints)),
+                "{\"hsp\":1,\"id\":1,\"ok\":true,\"result\":" + doc + "}")
+          << "n=" << n << " constraints=" << constraints;
+    }
+  }
+}
+
+TEST(ServiceSemantics, ConfigsTheClusterCannotRunAreBadRequests) {
+  // The reference cluster has two PEs of each kind. A kind named twice
+  // or asking for more PEs than the cluster has is a malformed request,
+  // for estimate and observe alike, with or without the memory bin
+  // (whose placement used to fail deep in the estimator as `internal`).
+  // A kind the cluster lacks stays `uncovered` (§9 id 10).
+  core::EstimatorOptions paging;
+  paging.check_memory = true;
+  core::Estimator with_memory(testutil::reference_spec(), paging);
+  const core::Estimator reference = testutil::make_estimator(1.0);
+  for (const auto& e : reference.nt_entries())
+    with_memory.add_nt(e.key, e.model);
+  for (const auto& e : reference.pt_entries())
+    with_memory.add_pt(e.kind, e.m, e.model);
+  for (const auto& snap :
+       {testutil::reference_snapshot(),
+        std::make_shared<const ModelSnapshot>(with_memory,
+                                              testutil::reference_space())}) {
+    Service service(snap);
+    for (const std::string op : {"estimate", "observe"}) {
+      const auto req = [&](const std::string& config) {
+        return "{\"hsp\":1,\"id\":1,\"op\":\"" + op +
+               "\",\"n\":2000,\"measured\":100.0,\"config\":" + config + "}";
+      };
+      EXPECT_EQ(error_code(service.handle_payload(req("[[\"alpha\",3,1]]"))),
+                "bad-request")
+          << op;
+      EXPECT_EQ(error_code(service.handle_payload(
+                    req("[[\"beta\",1,1],[\"alpha\",1,1],[\"beta\",1,1]]"))),
+                "bad-request")
+          << op;
+      EXPECT_EQ(error_code(service.handle_payload(
+                    req("[[\"alpha\",1,1],[\"alpha\",1,1]]"))),
+                "bad-request")
+          << op;
+      EXPECT_EQ(error_code(service.handle_payload(req("[[\"gamma\",5,1]]"))),
+                "uncovered")
+          << op;
+      const json::Value ok =
+          json::parse(service.handle_payload(req("[[\"alpha\",2,1]]")));
+      EXPECT_TRUE(ok.find("ok")->as_bool()) << op;
     }
   }
 }

@@ -11,8 +11,8 @@
 //             warming call: every iteration is a sharded-cache hit.
 //             Target: >= 100k queries/s.
 //   cold    — COUNT `advise` requests with distinct cache keys (a
-//             varying max_total_procs constraint), so every one is a
-//             full argmin sweep over the candidate space.
+//             varying max_total_procs constraint), so every one runs
+//             search::top_k (one batched sweep of the paper space).
 //             Target: >= 1k queries/s.
 //   observe — calibration ingest: estimate + watchdog fold + refit
 //             buffer append per request (docs/SERVER.md §4.9–4.10).
@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
     report("cached", cached);
 
     // Distinct max_total_procs values give every request a distinct
-    // cache key, so each one pays a full sweep (the constraint exceeds
-    // the cluster's total PE count, so the answer set is unchanged).
+    // cache key, so each one pays a search (the constraint exceeds the
+    // cluster's total PE count, so the answer set is unchanged).
     const PhaseResult cold = run_phase(cold_count, [&](std::size_t i) {
       check_ok(service.handle_payload(
                    advise_request(static_cast<long long>(i), n, 1,

@@ -9,7 +9,9 @@
 # refit thread (docs/SERVER.md §4.10) is soaked against every other
 # code path here — bench load, scrapes, signal handling — and the
 # SIGTERM drain proves the thread joins cleanly. Inputs (via -D):
-# ADVISORD, BENCH, ADVISOR, SCRAPE, WORK_DIR.
+# ADVISORD, BENCH, ADVISOR, SCRAPE, WORK_DIR, HETSCHED_OBS (the build's
+# option: where it is ON the registry's histograms reach the exposition
+# too).
 set(sock "${WORK_DIR}/server_smoke.sock")
 set(ready "${WORK_DIR}/server_smoke.ready")
 set(daemon_log "${WORK_DIR}/server_smoke.daemon.log")
@@ -155,11 +157,15 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "invalid Prometheus exposition:\n${out}\n${err}")
 endif()
 file(READ "${prom}" prom_text)
-foreach(series
+set(required_series
     "hetsched_up 1"
     "hetsched_service_requests"
     "hetsched_server_op_wall_seconds_bucket"
     "hetsched_health_degraded")
+if(HETSCHED_OBS)
+  list(APPEND required_series "hetsched_server_batch_size_bucket")
+endif()
+foreach(series ${required_series})
   if(NOT prom_text MATCHES "${series}")
     kill_daemon()
     message(FATAL_ERROR "exposition lost the '${series}' series:\n${prom_text}")

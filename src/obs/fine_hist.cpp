@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace hetsched::obs {
 
@@ -78,6 +79,18 @@ double FineHistogram::quantile(double q) const noexcept {
     before += c;
   }
   return bin_lower(kBins - 1);  // racing writers moved the total; overflow
+}
+
+HistogramSample FineHistogram::sample(std::string name) const {
+  HistogramSample s;
+  s.name = std::move(name);
+  s.count = count();
+  s.sum = sum();
+  s.p50 = quantile(0.5);
+  s.p99 = quantile(0.99);
+  for (std::size_t b = 0; b < kBins; ++b)
+    if (const std::uint64_t c = bin_count(b)) s.bins.emplace_back(b, c);
+  return s;
 }
 
 void FineHistogram::reset() noexcept {

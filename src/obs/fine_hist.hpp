@@ -1,24 +1,26 @@
-// Fine-grained log-linear histogram for exact-ish quantiles on
-// sub-millisecond latencies.
+// The one histogram type: log-linear bins for quantiles on samples that
+// span many orders of magnitude (latencies in seconds, sizes in bytes).
 //
-// The registry's Histogram (obs/metrics.hpp) uses one bin per power of
-// two — fine for "which decade is this in", useless for a p99 SLO on a
-// distribution that lives entirely inside one octave (a cached advise
-// answer takes ~2 µs; the whole interesting range is 1–4 µs). This
-// histogram splits every octave into kSubBuckets linear sub-buckets, so
-// the relative bucket width is at most 1/kSubBuckets (= 6.25%): a
-// quantile read off the bucket edges is within ~6% of the exact order
-// statistic, and within-bucket linear interpolation does better in
-// practice.
+// Every octave [2^e, 2^(e+1)) from 2^kMinExp to 2^kMaxExp is split into
+// kSubBuckets equal linear sub-buckets, so a bucket is at most
+// 1/kSubBuckets (= 6.25 %) of its lower edge wide: a quantile read off
+// the bucket edges is within ~6 % of the exact order statistic, and
+// within-bucket interpolation does better in practice. One bin per
+// octave could not answer a p99 SLO on a distribution that lives inside
+// one octave (a cached advise answer takes ~2 µs). The range, 2^-30
+// (below 1 ns, sub-byte) to 2^33 (8 GiB, and far longer than any run in
+// seconds), is what the record sites need: des.vt_advance_s fills every
+// octave from 2^-30 up, mpisim.msg_bytes reaches megabytes and
+// measure.sample_wall_s passes 2^8 s.
 //
-// Unlike the registry metric types, the constructor is public: a
-// FineHistogram is equally usable as a plain member or stack object
-// (server::Service keeps one per wire op; tools/advisor_bench records
-// phase latencies into a local one) and as a named registry metric via
-// MetricsRegistry::fine_histogram() / HETSCHED_FINE_HISTOGRAM_RECORD.
-// Everything is deterministic given the multiset of recorded samples:
-// bin placement is pure arithmetic and quantile() never looks at
-// insertion order, which is what makes served quantiles byte-testable.
+// The constructor is public: a FineHistogram is equally usable as a
+// plain member or stack object (server::Service keeps one per wire op;
+// tools/advisor_bench records phase latencies into a local one) and as
+// a named registry metric via MetricsRegistry::histogram() /
+// HETSCHED_HISTOGRAM_RECORD. Everything is deterministic given the
+// multiset of recorded samples: bin placement is pure arithmetic and
+// quantile() never looks at insertion order, which is what makes served
+// quantiles byte-testable.
 //
 // Thread-safety: record() is wait-free and safe from any thread
 // (per-bin relaxed atomics; sums striped like Counter). Readers get
@@ -30,6 +32,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -37,8 +40,8 @@ namespace hetsched::obs {
 
 class FineHistogram {
  public:
-  static constexpr int kMinExp = -24;  ///< 2^-24 s ≈ 60 ns
-  static constexpr int kMaxExp = 8;    ///< 2^8 = 256 s
+  static constexpr int kMinExp = -30;  ///< 2^-30 ≈ 9.3e-10: below 1 ns
+  static constexpr int kMaxExp = 33;   ///< 2^33 ≈ 8.6e9: 8 GiB
   static constexpr std::size_t kSubBuckets = 16;  ///< per octave
   /// Underflow bin + (kMaxExp-kMinExp) octaves × kSubBuckets + overflow.
   static constexpr std::size_t kBins =
@@ -60,9 +63,9 @@ class FineHistogram {
 
   /// Bin a sample falls into. Bin 0 is underflow (v < 2^kMinExp,
   /// including zero, negatives and NaN); the last bin is overflow
-  /// (v >= 2^kMaxExp). In between, the sample's octave [2^e, 2^(e+1))
-  /// is split into kSubBuckets equal linear sub-buckets; edges land
-  /// deterministically in the upper bucket.
+  /// (v >= 2^kMaxExp, including +inf). In between, the sample's octave
+  /// [2^e, 2^(e+1)) is split into kSubBuckets equal linear sub-buckets;
+  /// edges land deterministically in the upper bucket.
   static std::size_t bin_index(double v) noexcept;
   /// Inclusive lower edge of `bin` (0 for the underflow bin — samples
   /// there are treated as [0, 2^kMinExp) by quantile()).
@@ -81,13 +84,17 @@ class FineHistogram {
   /// samples. The overflow bucket reports its lower edge.
   double quantile(double q) const noexcept;
 
+  /// The scrape-time view, under `name`: count, sum, p50, p99 and the
+  /// non-empty bins — what histogram_json() renders.
+  HistogramSample sample(std::string name = {}) const;
+
   void reset() noexcept;
 
  private:
   // Bins are plain (unpadded) atomics: 16 sub-buckets share a cache
   // line, but updates are relaxed fetch_adds and neighbouring-latency
   // contention is exactly the same line a striped layout would fight
-  // over anyway — and padding 514 bins to 64 B each would cost 32 KiB
+  // over anyway — and padding 1,010 bins to 64 B each would cost 63 KiB
   // per histogram.
   std::array<std::atomic<std::uint64_t>, kBins> bins_{};
   std::array<detail::F64Slot, kStripes> sums_;

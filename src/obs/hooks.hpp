@@ -49,9 +49,6 @@ struct NullSpan {
 #define HETSCHED_HISTOGRAM_RECORD(name, value) \
   do {                                         \
   } while (false)
-#define HETSCHED_FINE_HISTOGRAM_RECORD(name, value) \
-  do {                                              \
-  } while (false)
 #define HETSCHED_TRACE_SPAN(cat, name)        \
   [[maybe_unused]] ::hetsched::obs::NullSpan \
       HETSCHED_OBS_CONCAT(hetsched_obs_span_, __LINE__)
@@ -83,20 +80,12 @@ struct NullSpan {
     hetsched_obs_g->set(static_cast<double>(value));                      \
   } while (false)
 
-/// Records `value` into histogram `name`.
+/// Records `value` into histogram `name` (obs/fine_hist.hpp).
 #define HETSCHED_HISTOGRAM_RECORD(name, value)                            \
   do {                                                                    \
-    static ::hetsched::obs::Histogram* const hetsched_obs_h =             \
+    static ::hetsched::obs::FineHistogram* const hetsched_obs_h =         \
         ::hetsched::obs::MetricsRegistry::instance().histogram(name);     \
     hetsched_obs_h->record(static_cast<double>(value));                   \
-  } while (false)
-
-/// Records `value` into fine-grained histogram `name` (obs/fine_hist.hpp).
-#define HETSCHED_FINE_HISTOGRAM_RECORD(name, value)                        \
-  do {                                                                     \
-    static ::hetsched::obs::FineHistogram* const hetsched_obs_fh =         \
-        ::hetsched::obs::MetricsRegistry::instance().fine_histogram(name); \
-    hetsched_obs_fh->record(static_cast<double>(value));                   \
   } while (false)
 
 /// Anonymous scoped span covering the rest of the enclosing block.

@@ -1,9 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "obs/fine_hist.hpp"
 #include "obs/json.hpp"
 
@@ -38,51 +34,6 @@ void Gauge::add(double d) noexcept {
   double cur = v_.load(std::memory_order_relaxed);
   while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
   }
-}
-
-// -- Histogram --------------------------------------------------------------
-
-std::size_t Histogram::bin_index(double v) noexcept {
-  // ilogb(v) is exactly floor(log2 v) for positive finite doubles, which
-  // puts power-of-two edges deterministically in the upper bin.
-  if (!(v > 0.0) || std::isnan(v)) return 0;  // zero, negatives, NaN
-  if (std::isinf(v)) return kBins - 1;
-  const int e = std::ilogb(v);
-  if (e < kMinExp) return 0;
-  if (e >= kMaxExp) return kBins - 1;
-  return static_cast<std::size_t>(e - kMinExp) + 1;
-}
-
-double Histogram::bin_lower(std::size_t bin) noexcept {
-  if (bin == 0) return -std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, kMinExp + static_cast<int>(bin) - 1);
-}
-
-double Histogram::bin_upper(std::size_t bin) noexcept {
-  if (bin >= kBins - 1) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, kMinExp + static_cast<int>(bin));
-}
-
-std::uint64_t Histogram::count() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& b : bins_) total += b.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-double Histogram::sum() const noexcept {
-  double total = 0.0;
-  for (const auto& s : sums_) total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t Histogram::bin_count(std::size_t bin) const noexcept {
-  if (bin >= kBins) return 0;
-  return bins_[bin].v.load(std::memory_order_relaxed);
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : bins_) b.v.store(0, std::memory_order_relaxed);
-  for (auto& s : sums_) s.v.store(0.0, std::memory_order_relaxed);
 }
 
 // -- MetricsSnapshot --------------------------------------------------------
@@ -126,16 +77,9 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
   return slot.get();
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name) {
+FineHistogram* MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> l(mu_);
   auto& slot = histograms_[name];
-  if (!slot) slot.reset(new Histogram());
-  return slot.get();
-}
-
-FineHistogram* MetricsRegistry::fine_histogram(const std::string& name) {
-  std::lock_guard<std::mutex> l(mu_);
-  auto& slot = fine_[name];
   if (!slot) slot.reset(new FineHistogram());
   return slot.get();
 }
@@ -150,27 +94,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, g] : gauges_)
     snap.gauges.push_back(GaugeSample{name, g->value()});
   snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSample hs;
-    hs.name = name;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    for (std::size_t b = 0; b < Histogram::kBins; ++b)
-      if (const std::uint64_t c = h->bin_count(b)) hs.bins.emplace_back(b, c);
-    snap.histograms.push_back(std::move(hs));
-  }
-  snap.fine_histograms.reserve(fine_.size());
-  for (const auto& [name, h] : fine_) {
-    FineHistogramSample fs;
-    fs.name = name;
-    fs.count = h->count();
-    fs.sum = h->sum();
-    fs.p50 = h->quantile(0.5);
-    fs.p99 = h->quantile(0.99);
-    for (std::size_t b = 0; b < FineHistogram::kBins; ++b)
-      if (const std::uint64_t c = h->bin_count(b)) fs.bins.emplace_back(b, c);
-    snap.fine_histograms.push_back(std::move(fs));
-  }
+  for (const auto& [name, h] : histograms_)
+    snap.histograms.push_back(h->sample(name));
   return snap;
 }
 
@@ -179,10 +104,37 @@ void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  for (auto& [name, h] : fine_) h->reset();
 }
 
 MetricsSnapshot snapshot() { return MetricsRegistry::instance().snapshot(); }
+
+std::string histogram_json(const HistogramSample& h, const char* suffix) {
+  std::string out = "{\"count\":";
+  out += json_int(static_cast<std::int64_t>(h.count));
+  const auto member = [&](const char* name, double v) {
+    out += ",\"";
+    out += name;
+    out += suffix;
+    out += "\":";
+    out += json_number_or_null(v);
+  };
+  member("sum", h.sum);
+  member("p50", h.p50);
+  member("p99", h.p99);
+  out += ",\"bins\":[";
+  for (std::size_t b = 0; b < h.bins.size(); ++b) {
+    if (b) out += ',';
+    out += '[';
+    out += json_number_or_null(FineHistogram::bin_lower(h.bins[b].first));
+    out += ',';
+    out += json_number_or_null(FineHistogram::bin_upper(h.bins[b].first));
+    out += ',';
+    out += json_int(static_cast<std::int64_t>(h.bins[b].second));
+    out += ']';
+  }
+  out += "]}";
+  return out;
+}
 
 std::string registry_json(const MetricsSnapshot& snap) {
   std::string out = "{\"counters\":{";
@@ -201,51 +153,10 @@ std::string registry_json(const MetricsSnapshot& snap) {
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
     if (i) out += ',';
-    out += json_quote(h.name);
-    out += ":{\"count\":";
-    out += json_int(static_cast<std::int64_t>(h.count));
-    out += ",\"sum\":";
-    out += json_number_or_null(h.sum);
-    out += ",\"bins\":[";
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      if (b) out += ',';
-      out += '[';
-      out += json_number_or_null(Histogram::bin_lower(h.bins[b].first));
-      out += ',';
-      out += json_number_or_null(Histogram::bin_upper(h.bins[b].first));
-      out += ',';
-      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
-      out += ']';
-    }
-    out += "]}";
-  }
-  out += "},\"fine_histograms\":{";
-  for (std::size_t i = 0; i < snap.fine_histograms.size(); ++i) {
-    const auto& h = snap.fine_histograms[i];
-    if (i) out += ',';
-    out += json_quote(h.name);
-    out += ":{\"count\":";
-    out += json_int(static_cast<std::int64_t>(h.count));
-    out += ",\"sum\":";
-    out += json_number_or_null(h.sum);
-    out += ",\"p50\":";
-    out += json_number_or_null(h.p50);
-    out += ",\"p99\":";
-    out += json_number_or_null(h.p99);
-    out += ",\"bins\":[";
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      if (b) out += ',';
-      out += '[';
-      out += json_number_or_null(FineHistogram::bin_lower(h.bins[b].first));
-      out += ',';
-      out += json_number_or_null(FineHistogram::bin_upper(h.bins[b].first));
-      out += ',';
-      out += json_int(static_cast<std::int64_t>(h.bins[b].second));
-      out += ']';
-    }
-    out += "]}";
+    out += json_quote(snap.histograms[i].name);
+    out += ':';
+    out += histogram_json(snap.histograms[i], "");
   }
   out += "}}";
   return out;

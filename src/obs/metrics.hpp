@@ -1,5 +1,6 @@
-// Process-wide metrics registry: counters, gauges and log-scale
-// histograms, designed for instrumentation of hot paths.
+// Process-wide metrics registry: counters, gauges and histograms (the
+// one histogram type, obs::FineHistogram in obs/fine_hist.hpp), designed
+// for instrumentation of hot paths.
 //
 // Design constraints (see docs/OBSERVABILITY.md for the full story):
 //
@@ -16,10 +17,11 @@
 //    once registered; pointers handed out stay valid for the process
 //    lifetime. `reset()` zeroes values but keeps registrations.
 //
-// Thread-safety: every public operation on Counter / Gauge / Histogram /
-// MetricsRegistry is safe to call concurrently from any thread.
-// Complexity: Counter::add / Gauge::set / Histogram::record are O(1)
-// and allocation-free; snapshot() is O(metrics × stripes).
+// Thread-safety: every public operation on Counter / Gauge /
+// FineHistogram / MetricsRegistry is safe to call concurrently from any
+// thread. Complexity: Counter::add / Gauge::set / FineHistogram::record
+// are O(1) and allocation-free; snapshot() is O(metrics × stripes +
+// histograms × bins).
 #pragma once
 
 #include <array>
@@ -88,55 +90,8 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bin log-scale histogram for non-negative samples spanning many
-/// orders of magnitude (latencies in seconds, message sizes in bytes).
-///
-/// Binning: bin 0 is the underflow bin (v < 2^kMinExp, including zero
-/// and negatives); bins 1..kBins-2 hold v with floor(log2 v) equal to
-/// kMinExp .. kMaxExp-1 (bin b covers the half-open decade
-/// [2^(kMinExp+b-1), 2^(kMinExp+b))); the last bin is the overflow bin
-/// (v >= 2^kMaxExp). Edges are exact powers of two, so a sample exactly
-/// on an edge lands deterministically in the upper bin.
-class Histogram {
- public:
-  static constexpr int kMinExp = -30;  ///< ~9.3e-10: below 1 ns, sub-byte
-  static constexpr int kMaxExp = 33;   ///< ~8.6e9: hours, multi-GiB
-  static constexpr std::size_t kBins =
-      static_cast<std::size_t>(kMaxExp - kMinExp) + 2;
-
-  /// Records one sample. O(1), wait-free, safe from any thread.
-  void record(double v) noexcept {
-    bins_[bin_index(v)].v.fetch_add(1, std::memory_order_relaxed);
-    auto& sum = sums_[thread_stripe()].v;
-    double cur = sum.load(std::memory_order_relaxed);
-    while (!sum.compare_exchange_weak(cur, cur + v,
-                                      std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Bin a sample falls into. Pure; exposed for tests and scrapers.
-  static std::size_t bin_index(double v) noexcept;
-  /// Inclusive lower edge of `bin` (-inf for the underflow bin).
-  static double bin_lower(std::size_t bin) noexcept;
-  /// Exclusive upper edge of `bin` (+inf for the overflow bin).
-  static double bin_upper(std::size_t bin) noexcept;
-
-  std::uint64_t count() const noexcept;        ///< total samples
-  double sum() const noexcept;                 ///< sum of sample values
-  std::uint64_t bin_count(std::size_t bin) const noexcept;
-
-  void reset() noexcept;
-
- private:
-  friend class MetricsRegistry;
-  Histogram() = default;
-  std::array<detail::U64Slot, kBins> bins_;
-  std::array<detail::F64Slot, kStripes> sums_;
-};
-
-/// Fine-grained log-linear histogram (16 sub-buckets per octave) for
-/// exact-ish quantiles — defined in obs/fine_hist.hpp, registrable here
-/// via MetricsRegistry::fine_histogram().
+/// The one histogram type, defined in obs/fine_hist.hpp: log-linear
+/// bins (16 per octave, 2^-30 … 2^33) with p50/p99 estimates.
 class FineHistogram;
 
 // -- scrape side ------------------------------------------------------------
@@ -149,21 +104,15 @@ struct GaugeSample {
   std::string name;
   double value = 0.0;
 };
+/// A FineHistogram at scrape time (FineHistogram::sample()), with the
+/// p50/p99 quantile estimates evaluated when it was taken.
 struct HistogramSample {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  /// Non-empty bins only, as (bin index, count) pairs.
-  std::vector<std::pair<std::size_t, std::uint64_t>> bins;
-};
-/// Like HistogramSample but for FineHistogram bins, with the p50/p99
-/// quantile estimates evaluated at scrape time.
-struct FineHistogramSample {
   std::string name;
   std::uint64_t count = 0;
   double sum = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
+  /// Non-empty bins only, as (bin index, count) pairs.
   std::vector<std::pair<std::size_t, std::uint64_t>> bins;
 };
 
@@ -172,7 +121,6 @@ struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
-  std::vector<FineHistogramSample> fine_histograms;
 
   /// Counter value by exact name; 0 if absent.
   std::uint64_t counter_value(const std::string& name) const;
@@ -192,10 +140,10 @@ class MetricsRegistry {
   /// should cache it (the obs/hooks.hpp macros do).
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name);
-  FineHistogram* fine_histogram(const std::string& name);
+  FineHistogram* histogram(const std::string& name);
 
-  /// Aggregates all stripes of all metrics. O(metrics × stripes).
+  /// Aggregates all stripes of all metrics. O(metrics × stripes +
+  /// histograms × bins).
   MetricsSnapshot snapshot() const;
 
   /// Zeroes every value, keeping registrations (tests).
@@ -209,15 +157,21 @@ class MetricsRegistry {
       HETSCHED_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
       HETSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      HETSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<FineHistogram>> fine_
+  std::map<std::string, std::unique_ptr<FineHistogram>> histograms_
       HETSCHED_GUARDED_BY(mu_);
 };
 
 /// Shorthand for MetricsRegistry::instance().snapshot() — the one-call
 /// "what has the process done so far" API.
 MetricsSnapshot snapshot();
+
+/// One histogram's members as canonical JSON, every member but `count`
+/// and `bins` carrying `suffix` (the `metrics` op's per-op entries pass
+/// "_s"; the registry passes ""):
+/// {"count":c,"sum<suffix>":s,"p50<suffix>":q,"p99<suffix>":q,
+///  "bins":[[lower,upper,count],...]}
+/// Non-finite values (the overflow bin's +inf upper edge) render as null.
+std::string histogram_json(const HistogramSample& h, const char* suffix);
 
 /// The snapshot as one canonical JSON document — the only renderer of the
 /// registry: the `metrics` wire op serves it as its process section and
@@ -226,10 +180,7 @@ MetricsSnapshot snapshot();
 /// name-sorted, non-finite values render as null:
 /// {"counters":{name:value,...},
 ///  "gauges":{name:value,...},
-///  "histograms":{name:{"count":c,"sum":s,
-///                      "bins":[[lower,upper,count],...]},...},
-///  "fine_histograms":{name:{"count":c,"sum":s,"p50":q,"p99":q,
-///                           "bins":[[lower,upper,count],...]},...}}
+///  "histograms":{name:histogram_json(h, ""),...}}
 std::string registry_json(const MetricsSnapshot& snap);
 
 }  // namespace hetsched::obs

@@ -65,7 +65,7 @@ struct Bounds {
 };
 
 Bounds bounds_for(const core::Estimator& est, const core::ConfigSpace& space,
-                  int n) {
+                  int n, int limit) {
   const auto& kinds = space.kinds();
   const std::size_t K = kinds.size();
   const double nn = n;
@@ -74,7 +74,9 @@ Bounds bounds_for(const core::Estimator& est, const core::ConfigSpace& space,
   // Per-kind extremes of the choice lists, for the feasible (P, Q)
   // intervals below. A kind's processes count toward every kind's Tai
   // (the estimator evaluates Tai at the config's *total* process count),
-  // and its processors toward every Tci.
+  // and its processors toward every Tci. A feasible completion runs at
+  // most `limit` processes, and Q counts its PEs or its processes, so
+  // both intervals end at `limit` too.
   std::vector<int> kind_max_procs(K, 0), kind_min_procs(K, 0);
   std::vector<int> kind_max_pes(K, 0), kind_min_pes(K, 0);
   for (std::size_t k = 0; k < K; ++k) {
@@ -127,7 +129,8 @@ Bounds bounds_for(const core::Estimator& est, const core::ConfigSpace& space,
       if (const core::PtModel* pt = est.pt(kinds[k].kind, m)) {
         const double own_procs = static_cast<double>(pes) * m;
         const double p_lo = own_procs + (tot_min_procs - kind_min_procs[k]);
-        const double p_hi = own_procs + (tot_max_procs - kind_max_procs[k]);
+        const double p_hi = std::min<double>(
+            limit, own_procs + (tot_max_procs - kind_max_procs[k]));
         const double tai = std::min(pt->tai(nn, p_lo), pt->tai(nn, p_hi));
 
         const double own_q =
@@ -136,10 +139,10 @@ Bounds bounds_for(const core::Estimator& est, const core::ConfigSpace& space,
             own_q + (eo.comm_uses_processors
                          ? tot_min_pes - kind_min_pes[k]
                          : tot_min_procs - kind_min_procs[k]);
-        const double q_hi =
-            own_q + (eo.comm_uses_processors
-                         ? tot_max_pes - kind_max_pes[k]
-                         : tot_max_procs - kind_max_procs[k]);
+        const double q_hi = std::min<double>(
+            limit, own_q + (eo.comm_uses_processors
+                                ? tot_max_pes - kind_max_pes[k]
+                                : tot_max_procs - kind_max_procs[k]));
         double tci = std::min(pt->tci(nn, q_lo), pt->tci(nn, q_hi));
         const core::PtModel::State st = pt->state();
         const double cn = st.c_base.tci(nn);
@@ -261,7 +264,7 @@ TopK top_k(const core::Estimator& est, const core::ConfigSpace& space,
   const bool tree = rows_total > opts.batch_leaves;
   Bounds bt;
   if (tree) {
-    bt = bounds_for(est, space, batch.n());
+    bt = bounds_for(est, space, batch.n(), limit);
     out.covered = batch.count_covered(excluded, limit);
   }
 

@@ -288,37 +288,6 @@ std::string hello_result(const ModelSnapshot& snap) {
   return out;
 }
 
-/// One fine histogram as canonical JSON (seconds):
-/// {"count":c,"sum_s":s,"p50_s":q,"p99_s":q,"bins":[[lower,upper,c],…]}
-/// The overflow bin's upper edge (+inf) renders as null.
-std::string fine_hist_json(const obs::FineHistogram& h) {
-  std::string out = "{\"count\":";
-  out += json_int(static_cast<std::int64_t>(h.count()));
-  out += ",\"sum_s\":";
-  out += json_number_or_null(h.sum());
-  out += ",\"p50_s\":";
-  out += json_number_or_null(h.quantile(0.5));
-  out += ",\"p99_s\":";
-  out += json_number_or_null(h.quantile(0.99));
-  out += ",\"bins\":[";
-  bool first = true;
-  for (std::size_t b = 0; b < obs::FineHistogram::kBins; ++b) {
-    const std::uint64_t c = h.bin_count(b);
-    if (c == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '[';
-    out += json_number(obs::FineHistogram::bin_lower(b));
-    out += ',';
-    out += json_number_or_null(obs::FineHistogram::bin_upper(b));
-    out += ',';
-    out += json_int(static_cast<std::int64_t>(c));
-    out += ']';
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace
 
 Service::Service(std::shared_ptr<const ModelSnapshot> snapshot,
@@ -450,12 +419,10 @@ std::string Service::handle_payload(const std::string& payload) {
     HETSCHED_COUNTER_ADD("server.errors", 1);
   }
   const std::uint64_t wall_us = clock_now_us() - arrival;
-  const double wall_s = static_cast<double>(wall_us) * 1e-6;
-  op_wall_[meta.op].record(wall_s);
+  op_wall_[meta.op].record(static_cast<double>(wall_us) * 1e-6);
   flight_.record(meta.op, meta.code, meta.cache, meta.n, meta.fingerprint,
                  arrival, wall_us);
   HETSCHED_COUNTER_ADD("server.flight.records", 1);
-  HETSCHED_FINE_HISTOGRAM_RECORD("server.request_fine_s", wall_s);
   return response;
 }
 
@@ -710,7 +677,7 @@ std::string Service::metrics_result(const ModelSnapshot& snap,
     first = false;
     out += json_quote(ops[i]);
     out += ':';
-    out += fine_hist_json(op_wall_[i]);
+    out += obs::histogram_json(op_wall_[i].sample(), "_s");
   }
   out += '}';
   if (process_scope) {

@@ -1,10 +1,11 @@
-// obs::FineHistogram: bin placement, quantile semantics, registry
-// integration and the metrics-JSON `fine_histograms` section.
+// obs::FineHistogram, the one histogram type: bin placement, quantile
+// semantics, registry integration and the metrics-JSON `histograms`
+// section.
 //
 // The sub-bucketed histogram backs three user-visible numbers — the
 // server's per-op p50/p99 (docs/SERVER.md §4.6), advisor_bench's
-// reported percentiles, and the registry's fine_histograms scrape — so
-// its arithmetic is pinned here, not just eyeballed.
+// reported percentiles, and the registry's histograms scrape — so its
+// arithmetic is pinned here, not just eyeballed.
 #include "obs/fine_hist.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +28,7 @@ TEST(FineHistogram, BinEdgesArePureArithmetic) {
   EXPECT_EQ(FineHistogram::bin_index(0.0), 0u);
   EXPECT_EQ(FineHistogram::bin_index(-1.0), 0u);
   EXPECT_EQ(FineHistogram::bin_index(std::nan("")), 0u);
-  EXPECT_EQ(FineHistogram::bin_index(std::ldexp(1.0, -25)), 0u);
+  EXPECT_EQ(FineHistogram::bin_index(std::ldexp(1.0, -31)), 0u);
 
   // 2^kMinExp is the first real bucket's inclusive lower edge.
   EXPECT_EQ(FineHistogram::bin_index(std::ldexp(1.0, FineHistogram::kMinExp)),
@@ -51,13 +52,21 @@ TEST(FineHistogram, BinEdgesArePureArithmetic) {
   EXPECT_EQ(FineHistogram::bin_index(std::ldexp(1.0, FineHistogram::kMaxExp)),
             last);
   EXPECT_EQ(FineHistogram::bin_index(1e300), last);
+  EXPECT_EQ(FineHistogram::bin_index(std::numeric_limits<double>::infinity()),
+            last);
   EXPECT_TRUE(std::isinf(FineHistogram::bin_upper(last)));
 
-  // Edges tile: every bin's upper edge is the next bin's lower edge.
-  for (std::size_t b = 0; b + 1 < FineHistogram::kBins; ++b)
+  // Edges tile: every bin's upper edge is the next bin's lower edge, and
+  // every bucket's lower edge lands in that bucket.
+  for (std::size_t b = 0; b + 1 < FineHistogram::kBins; ++b) {
     EXPECT_DOUBLE_EQ(FineHistogram::bin_upper(b),
                      FineHistogram::bin_lower(b + 1))
         << "bin " << b;
+    if (b > 0) {
+      EXPECT_EQ(FineHistogram::bin_index(FineHistogram::bin_lower(b)), b)
+          << "bin " << b;
+    }
+  }
 }
 
 TEST(FineHistogram, CountSumAndReset) {
@@ -107,7 +116,7 @@ TEST(FineHistogram, QuantileIsDeterministicAcrossInsertionOrder) {
 
 TEST(FineHistogram, OverflowBucketReportsItsLowerEdge) {
   FineHistogram h;
-  h.record(1e9);  // way past 256 s
+  h.record(1e12);  // way past 2^33
   EXPECT_DOUBLE_EQ(h.quantile(0.5),
                    std::ldexp(1.0, FineHistogram::kMaxExp));
 }
@@ -128,32 +137,30 @@ TEST(FineHistogram, ConcurrentRecordsAreLossless) {
 #if HETSCHED_OBS_ACTIVE
 TEST(FineHistogramRegistry, MacroRecordsIntoNamedMetric) {
   MetricsRegistry::instance().reset();
-  HETSCHED_FINE_HISTOGRAM_RECORD("test.fine_macro_s", 0.0015);
-  HETSCHED_FINE_HISTOGRAM_RECORD("test.fine_macro_s", 0.0015);
-  FineHistogram* h =
-      MetricsRegistry::instance().fine_histogram("test.fine_macro_s");
+  HETSCHED_HISTOGRAM_RECORD("test.fine_macro_s", 0.0015);
+  HETSCHED_HISTOGRAM_RECORD("test.fine_macro_s", 0.0015);
+  FineHistogram* h = MetricsRegistry::instance().histogram("test.fine_macro_s");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);
   // Same name → same instance (interned, like every registry metric).
-  EXPECT_EQ(MetricsRegistry::instance().fine_histogram("test.fine_macro_s"),
-            h);
+  EXPECT_EQ(MetricsRegistry::instance().histogram("test.fine_macro_s"), h);
 
   const MetricsSnapshot snap = snapshot();
-  ASSERT_EQ(snap.fine_histograms.size(), 1u);
-  EXPECT_EQ(snap.fine_histograms[0].name, "test.fine_macro_s");
-  EXPECT_EQ(snap.fine_histograms[0].count, 2u);
-  EXPECT_NEAR(snap.fine_histograms[0].p50, 0.0015, 0.0015 * 0.07);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].name, "test.fine_macro_s");
+  EXPECT_EQ(snap.histograms[0].count, 2u);
+  EXPECT_NEAR(snap.histograms[0].p50, 0.0015, 0.0015 * 0.07);
   MetricsRegistry::instance().reset();
 }
 
 TEST(FineHistogramRegistry, WriteMetricsJsonCarriesFineHistograms) {
   MetricsRegistry::instance().reset();
-  HETSCHED_FINE_HISTOGRAM_RECORD("test.fine_json_s", 0.002);
+  HETSCHED_HISTOGRAM_RECORD("test.fine_json_s", 0.002);
   const std::string out = registry_json(snapshot());
   const json::Value doc = json::parse(out);
-  const json::Value* fine = doc.find("fine_histograms");
-  ASSERT_NE(fine, nullptr);
-  const json::Value* h = fine->find("test.fine_json_s");
+  const json::Value* histograms = doc.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  const json::Value* h = histograms->find("test.fine_json_s");
   ASSERT_NE(h, nullptr) << out;
   EXPECT_DOUBLE_EQ(h->find("count")->as_number(), 1.0);
   EXPECT_DOUBLE_EQ(h->find("sum")->as_number(), 0.002);

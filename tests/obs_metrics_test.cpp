@@ -1,6 +1,7 @@
-// Metrics registry: counter/gauge semantics, histogram bin edges, and
-// the snapshot + JSON scrape path: registry_json's byte-pinned form and
-// the --metrics-out artifact, validated with the obs JSON parser.
+// Metrics registry: counter/gauge semantics and the snapshot + JSON
+// scrape path: registry_json's byte-pinned form and the --metrics-out
+// artifact, validated with the obs JSON parser. Histogram bin arithmetic
+// is pinned in obs_fine_hist_test.cpp.
 //
 // The registry is process-wide, so every test uses its own metric-name
 // prefix; values are asserted as deltas where the registry may already
@@ -9,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -49,65 +49,6 @@ TEST(ObsGauge, LastWriteWinsAndAdds) {
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
 }
 
-TEST(ObsHistogram, BinEdgesArePowersOfTwo) {
-  using H = obs::Histogram;
-  // Interior bin b covers [2^(kMinExp+b-1), 2^(kMinExp+b)).
-  for (std::size_t b = 1; b + 1 < H::kBins; ++b) {
-    const double lo = H::bin_lower(b);
-    const double hi = H::bin_upper(b);
-    EXPECT_DOUBLE_EQ(hi, 2.0 * lo) << "bin " << b;
-    EXPECT_EQ(H::bin_index(lo), b) << "lower edge of bin " << b;
-    // The upper edge is exclusive: it belongs to the next bin.
-    EXPECT_EQ(H::bin_index(hi), b + 1) << "upper edge of bin " << b;
-    // An interior sample stays in its bin.
-    EXPECT_EQ(H::bin_index(lo * 1.5), b) << "midpoint of bin " << b;
-  }
-  EXPECT_EQ(H::bin_lower(0), -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(H::bin_upper(H::kBins - 1),
-            std::numeric_limits<double>::infinity());
-}
-
-TEST(ObsHistogram, KnownSamplesLandInKnownBins) {
-  using H = obs::Histogram;
-  // 1.0 = 2^0: bins 1.. hold exponents kMinExp.., so exponent 0 lands in
-  // bin (0 - kMinExp) + 1.
-  const std::size_t one = static_cast<std::size_t>(-H::kMinExp) + 1;
-  EXPECT_EQ(H::bin_index(1.0), one);
-  EXPECT_DOUBLE_EQ(H::bin_lower(one), 1.0);
-  EXPECT_DOUBLE_EQ(H::bin_upper(one), 2.0);
-  EXPECT_EQ(H::bin_index(1.999), one);
-  EXPECT_EQ(H::bin_index(2.0), one + 1);
-  EXPECT_EQ(H::bin_index(0.5), one - 1);
-}
-
-TEST(ObsHistogram, UnderflowOverflowAndNonFinite) {
-  using H = obs::Histogram;
-  EXPECT_EQ(H::bin_index(0.0), 0u);
-  EXPECT_EQ(H::bin_index(-3.0), 0u);
-  EXPECT_EQ(H::bin_index(std::ldexp(1.0, H::kMinExp - 1)), 0u);
-  EXPECT_EQ(H::bin_index(std::ldexp(1.0, H::kMinExp)), 1u);
-  EXPECT_EQ(H::bin_index(std::ldexp(1.0, H::kMaxExp - 1)), H::kBins - 2);
-  EXPECT_EQ(H::bin_index(std::ldexp(1.0, H::kMaxExp)), H::kBins - 1);
-  EXPECT_EQ(H::bin_index(std::numeric_limits<double>::infinity()),
-            H::kBins - 1);
-  EXPECT_EQ(H::bin_index(std::numeric_limits<double>::quiet_NaN()), 0u);
-}
-
-TEST(ObsHistogram, RecordAccumulatesCountAndSum) {
-  obs::Histogram* h =
-      obs::MetricsRegistry::instance().histogram("t.histo.record");
-  h->reset();
-  h->record(1.5);
-  h->record(1.5);
-  h->record(3.0);
-  EXPECT_EQ(h->count(), 3u);
-  EXPECT_DOUBLE_EQ(h->sum(), 6.0);
-  const std::size_t one = static_cast<std::size_t>(-obs::Histogram::kMinExp) + 1;
-  EXPECT_EQ(h->bin_count(one), 2u);      // [1, 2)
-  EXPECT_EQ(h->bin_count(one + 1), 1u);  // [2, 4)
-  EXPECT_EQ(h->bin_count(one + 2), 0u);
-}
-
 TEST(ObsSnapshot, ReportsRegisteredMetrics) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter("t.snap.counter")->add(7);
@@ -131,7 +72,7 @@ TEST(ObsSnapshot, JsonScrapeRoundTrips) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter("t.json.counter")->add(3);
   reg.gauge("t.json.gauge")->set(0.125);
-  obs::Histogram* h = reg.histogram("t.json.histo");
+  obs::FineHistogram* h = reg.histogram("t.json.histo");
   h->reset();
   h->record(2.0);
   h->record(2.0);
@@ -158,35 +99,26 @@ TEST(ObsSnapshot, JsonScrapeRoundTrips) {
   EXPECT_DOUBLE_EQ(hv->find("count")->as_number(), 2.0);
   EXPECT_DOUBLE_EQ(hv->find("sum")->as_number(), 4.0);
   const obs::json::Array& bins = hv->find("bins")->as_array();
-  ASSERT_EQ(bins.size(), 1u);  // both samples share the [2, 4) bin
+  ASSERT_EQ(bins.size(), 1u);  // both samples share the [2, 2.125) bin
   const obs::json::Array& bin = bins[0].as_array();
   ASSERT_EQ(bin.size(), 3u);
   EXPECT_DOUBLE_EQ(bin[0].as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(bin[1].as_number(), 4.0);
+  EXPECT_DOUBLE_EQ(bin[1].as_number(), 2.125);
   EXPECT_DOUBLE_EQ(bin[2].as_number(), 2.0);
 }
 
 TEST(ObsSnapshot, RegistryJsonIsByteStable) {
   // The canonical rendering the `metrics` op serves as its process
   // section: fixed member order, no whitespace, shortest round-trip
-  // numbers, and null for every non-finite value — inf/nan gauges, the
-  // -inf lower edge of log2 bin 0 and the +inf upper edges of both
-  // overflow bins.
+  // numbers, and null for every non-finite value — inf/nan gauges, an
+  // infinite p99 and the +inf upper edge of the overflow bin.
   const double inf = std::numeric_limits<double>::infinity();
   obs::MetricsSnapshot snap;
   snap.counters = {{"server.requests", 42}, {"quote\"d", 7}};
   snap.gauges = {{"g.ratio", 0.1},
                  {"g.inf", inf},
                  {"g.nan", std::numeric_limits<double>::quiet_NaN()}};
-  obs::HistogramSample h;
-  h.name = "h.log2_s";
-  h.count = 3;
-  h.sum = 0.1 + 0.2;
-  h.bins = {{0, 1},
-            {obs::Histogram::bin_index(1.5), 1},
-            {obs::Histogram::kBins - 1, 1}};
-  snap.histograms = {h};
-  obs::FineHistogramSample f;
+  obs::HistogramSample f;
   f.name = "f.fine_s";
   f.count = 4;
   f.sum = 1.0 / 3.0;
@@ -195,21 +127,23 @@ TEST(ObsSnapshot, RegistryJsonIsByteStable) {
   f.bins = {{0, 1},
             {obs::FineHistogram::bin_index(0.001), 2},
             {obs::FineHistogram::kBins - 1, 1}};
-  snap.fine_histograms = {f};
+  obs::HistogramSample h;
+  h.name = "h.bytes";
+  h.count = 1;
+  h.sum = 0.1 + 0.2;
+  h.bins = {{obs::FineHistogram::bin_index(1.5), 1}};
+  snap.histograms = {f, h};
   EXPECT_EQ(obs::registry_json(snap),
             "{\"counters\":{\"server.requests\":42,\"quote\\\"d\":7},"
             "\"gauges\":{\"g.ratio\":0.1,\"g.inf\":null,\"g.nan\":null},"
-            "\"histograms\":{\"h.log2_s\":{\"count\":3,"
-            "\"sum\":0.30000000000000004,"
-            "\"bins\":[[null,9.313225746154785e-10,1],"
-            "[1,2,1],[8589934592,null,1]]}},"
-            "\"fine_histograms\":{\"f.fine_s\":{\"count\":4,"
+            "\"histograms\":{\"f.fine_s\":{\"count\":4,"
             "\"sum\":0.3333333333333333,\"p50\":0.001007080078125,"
-            "\"p99\":null,\"bins\":[[0,5.960464477539063e-08,1],"
-            "[0.0009765625,0.00103759765625,2],[256,null,1]]}}}");
+            "\"p99\":null,\"bins\":[[0,9.313225746154785e-10,1],"
+            "[0.0009765625,0.00103759765625,2],[8589934592,null,1]]},"
+            "\"h.bytes\":{\"count\":1,\"sum\":0.30000000000000004,"
+            "\"p50\":0,\"p99\":0,\"bins\":[[1.5,1.5625,1]]}}}");
   EXPECT_EQ(obs::registry_json(obs::MetricsSnapshot{}),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{},"
-            "\"fine_histograms\":{}}");
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
 TEST(ObsSnapshot, MetricsOutWritesTheRegistryDocument) {

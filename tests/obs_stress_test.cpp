@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/fine_hist.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -54,7 +55,7 @@ TEST(ObsStress, ConcurrentCounterIncrementsAreLossless) {
 TEST(ObsStress, ConcurrentHistogramRecordsKeepCountAndSum) {
   constexpr std::size_t kThreads = 16;
   constexpr std::uint64_t kPerThread = 20000;
-  obs::Histogram* h =
+  obs::FineHistogram* h =
       obs::MetricsRegistry::instance().histogram("stress.histo");
   h->reset();
   run_threads(kThreads, [&](std::size_t t) {
@@ -66,7 +67,7 @@ TEST(ObsStress, ConcurrentHistogramRecordsKeepCountAndSum) {
   EXPECT_EQ(h->count(), kThreads * kPerThread);
   double expected_sum = 0.0;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    const std::size_t bin = obs::Histogram::bin_index(
+    const std::size_t bin = obs::FineHistogram::bin_index(
         std::ldexp(1.0, static_cast<int>(t)));
     EXPECT_EQ(h->bin_count(bin), kPerThread) << "bin for 2^" << t;
     expected_sum += std::ldexp(1.0, static_cast<int>(t)) *

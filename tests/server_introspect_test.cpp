@@ -15,6 +15,7 @@
 
 #include "core/optimizer.hpp"
 #include "obs/fine_hist.hpp"
+#include "obs/hooks.hpp"
 #include "obs/json.hpp"
 #include "server/service.hpp"
 #include "server_test_util.hpp"
@@ -32,10 +33,14 @@ json::Value ok_result(const std::string& response) {
   return *result;  // cheap: arrays/objects are shared_ptr-backed
 }
 
+/// The error code of a failed response; "" (after a failed assertion
+/// that prints the response) when it carries none.
 std::string error_code(const std::string& response) {
   const json::Value doc = json::parse(response);
   EXPECT_TRUE(doc.find("ok") && !doc.find("ok")->as_bool()) << response;
-  return doc.find("error")->find("code")->as_string();
+  const json::Value* error = doc.find("error");
+  const json::Value* code = error != nullptr ? error->find("code") : nullptr;
+  return code != nullptr ? code->as_string() : std::string();
 }
 
 std::string observe_req(double measured, const std::string& family = "") {
@@ -69,6 +74,37 @@ TEST(Introspect, MetricsScopeSelectsTheDocument) {
                 "{\"hsp\":1,\"id\":3,\"op\":\"metrics\",\"scope\":\"pod\"}")),
             "bad-request");
 }
+
+#if HETSCHED_OBS_ACTIVE
+TEST(Introspect, ProcessMetricsCarryTheBatchSizeHistogram) {
+  // perfbench's server.net.frames_per_batch divides these two members of
+  // a process-scope `metrics` answer and reads a missing path as 0, so a
+  // renamed section or member would zero it silently; the path is pinned
+  // here.
+  Service service(testutil::reference_snapshot());
+  const std::string ping = "{\"hsp\":1,\"id\":1,\"op\":\"ping\"}";
+  service.handle_batch({ping});  // registers server.batch_size
+  const auto batch_size = [&service](const char* member) {
+    const json::Value result = ok_result(
+        service.handle_payload("{\"hsp\":1,\"id\":2,\"op\":\"metrics\"}"));
+    const json::Value* v = &result;
+    for (const char* key :
+         {"process", "histograms", "server.batch_size", member}) {
+      v = v->find(key);
+      if (v == nullptr) {
+        ADD_FAILURE() << "metrics answer has no " << key;
+        return 0.0;
+      }
+    }
+    return v->as_number();
+  };
+  const double count0 = batch_size("count"), sum0 = batch_size("sum");
+  for (const std::size_t size : {1, 3, 16})
+    service.handle_batch(std::vector<std::string>(size, ping));
+  EXPECT_DOUBLE_EQ(batch_size("count") - count0, 3.0);
+  EXPECT_DOUBLE_EQ(batch_size("sum") - sum0, 20.0);
+}
+#endif  // HETSCHED_OBS_ACTIVE
 
 TEST(Introspect, PerOpHistogramsCountAnsweredRequestsOnly) {
   testutil::reset_fake_clock();

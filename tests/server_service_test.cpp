@@ -45,10 +45,14 @@ std::vector<std::pair<std::string, double>> best_of(
   return out;
 }
 
+/// The error code of a failed response; "" (after a failed assertion
+/// that prints the response) when it carries none.
 std::string error_code(const std::string& response) {
   const json::Value doc = json::parse(response);
   EXPECT_TRUE(doc.find("ok") && !doc.find("ok")->as_bool()) << response;
-  return doc.find("error")->find("code")->as_string();
+  const json::Value* error = doc.find("error");
+  const json::Value* code = error != nullptr ? error->find("code") : nullptr;
+  return code != nullptr ? code->as_string() : std::string();
 }
 
 TEST(ServiceSemantics, AdviseMatchesSerialRankAll) {
@@ -69,8 +73,8 @@ TEST(ServiceSemantics, AdviseMatchesSerialRankAll) {
 TEST(ServiceSemantics, PrunedAdviseMatchesTheDocumentRenderedFromRankAll) {
   // Three kinds of four PEs at m 1..4: 17^3 rows (17^2 with a kind
   // excluded), more than one batch, so the search walks the tree and
-  // cuts subtrees. Its answer must be the bytes rendered from the
-  // serial oracle.
+  // cuts subtrees, under a tight process limit too. Its answer must be
+  // the bytes rendered from the serial oracle.
   cluster::ClusterSpec spec;
   std::vector<core::ConfigSpace::KindRange> ranges;
   core::EstimatorOptions opts;
@@ -97,13 +101,15 @@ TEST(ServiceSemantics, PrunedAdviseMatchesTheDocumentRenderedFromRankAll) {
   const auto snap = std::make_shared<const ModelSnapshot>(est, space);
   Service service(snap);
   for (const int n : {1200, 4800}) {
-    for (const std::string& constraints :
-         {std::string(), std::string("{\"exclude\":[\"k1\"]}"),
-          std::string("{\"max_total_procs\":20}")}) {
+    for (const auto& [constraints, limit] :
+         {std::pair<std::string, int>{"", 0},
+          {"{\"exclude\":[\"k1\"]}", 0},
+          {"{\"max_total_procs\":20}", 20},
+          {"{\"max_total_procs\":10}", 10}}) {
       search::Query q;
       q.top = 4;
       if (constraints.find("k1") != std::string::npos) q.exclude = {"k1"};
-      if (constraints.find("max") != std::string::npos) q.max_total_procs = 20;
+      q.max_total_procs = limit;
       const search::TopK pruned =
           search::top_k(est, space, *snap->batch_for(n), q);
       EXPECT_GT(pruned.stats.pruned, 0u) << constraints;

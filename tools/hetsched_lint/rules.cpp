@@ -228,7 +228,7 @@ std::vector<Finding> lint_prepared(const PreparedFile& file,
   if (cfg.have_naming_table && !in_tests) {
     static const std::unordered_set<std::string> metric_macros = {
         "HETSCHED_COUNTER_ADD", "HETSCHED_GAUGE_SET",
-        "HETSCHED_HISTOGRAM_RECORD", "HETSCHED_FINE_HISTOGRAM_RECORD"};
+        "HETSCHED_HISTOGRAM_RECORD"};
     static const std::unordered_set<std::string> trace_macros = {
         "HETSCHED_TRACE_SPAN", "HETSCHED_TRACE_SPAN_VAR",
         "HETSCHED_TRACE_ASYNC_VAR", "HETSCHED_TRACE_INSTANT"};

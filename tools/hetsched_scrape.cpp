@@ -217,12 +217,6 @@ std::string render_prometheus(const json::Value& metrics,
       w.type(prom, "histogram");
       w.histogram(prom, "", h, "sum");
     }
-    for (const auto& [name, h] :
-         member(*process, "fine_histograms").as_object()) {
-      const std::string prom = mangle(name) + "_fine";
-      w.type(prom, "histogram");
-      w.histogram(prom, "", h, "sum");
-    }
   }
 
   // Health.

@@ -1,14 +1,14 @@
 # CTest script behind the `server_smoke_check` test (registered in
 # tools/CMakeLists.txt): boots hetsched_advisord on a Unix socket, waits
-# for readiness, drives it with advisor_bench --quick --connect and the
-# scheduler_advisor --server thin client, scrapes it with
-# hetsched_scrape (exposition validity, flight trace, health latency
-# probe), exercises the SIGUSR1 dump path, and finally shuts it down
-# with SIGTERM asserting the drain flushed its artifacts. The daemon
-# runs with a fast --refit-interval the whole time, so the background
-# refit thread (docs/SERVER.md §4.10) is soaked against every other
-# code path here — bench load, scrapes, signal handling — and the
-# SIGTERM drain proves the thread joins cleanly. Inputs (via -D):
+# for readiness, asks the scheduler_advisor --server thin client for
+# advice, scrapes it with hetsched_scrape (exposition validity, flight
+# trace, health latency probe) under advisor_bench's background load,
+# exercises the SIGUSR1 dump path, and finally shuts it down with
+# SIGTERM asserting the drain flushed its artifacts. The daemon runs
+# with a fast --refit-interval the whole time, so the background refit
+# thread (docs/SERVER.md §4.10) is soaked against every other code path
+# here — bench load, scrapes, signal handling — and the SIGTERM drain
+# proves the thread joins cleanly. Inputs (via -D):
 # ADVISORD, BENCH, ADVISOR, SCRAPE, WORK_DIR, HETSCHED_OBS (the build's
 # option: where it is ON the registry's histograms reach the exposition
 # too).
@@ -58,20 +58,7 @@ if(NOT is_ready)
   message(FATAL_ERROR "daemon never became ready:\n${log_tail}")
 endif()
 
-# Drive it: quick bench (in-process phases + socket phase) ...
-execute_process(
-  COMMAND "${BENCH}" --quick "--connect=unix:${sock}"
-          "--report-out=${WORK_DIR}/server_smoke.report.json"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  kill_daemon()
-  message(FATAL_ERROR "advisor_bench exited with ${rc}:\n${out}\n${err}")
-endif()
-message(STATUS "${out}")
-
-# ... and the thin-client CLI.
+# Ask the thin-client CLI for advice.
 execute_process(
   COMMAND "${ADVISOR}" 6400 "--server=unix:${sock}" --top=3
   RESULT_VARIABLE rc
@@ -91,25 +78,29 @@ endif()
 # Scrape the Prometheus exposition while a background bench keeps the
 # daemon busy, then probe the health SLO (p99 < 10 ms over the wire) —
 # the scrape must stay valid and fast under load, not just when idle.
-# The load the SLO names is the bench's socket traffic: the bench first
-# fits its own model and runs its in-process phases on every core, so
-# the scrape and the probe start once it prints its (flushed) socket
-# phase line. The test runs RUN_SERIAL, so no other test's campaign
-# shares the cores either.
+# The scrape and the probe start once the bench prints its (flushed)
+# load line, after its first answer. The subshell keeps the bench's
+# exit status, so a load that met an error answer fails the check. The
+# test runs RUN_SERIAL, so no other test's campaign shares the cores.
 set(bench_out "${WORK_DIR}/server_smoke.bench.out")
-file(REMOVE "${bench_out}")
+set(bench_status "${WORK_DIR}/server_smoke.bench.status")
+file(REMOVE "${bench_out}" "${bench_status}")
 execute_process(
-  COMMAND sh -c "'${BENCH}' --quick '--connect=unix:${sock}' > '${bench_out}' 2>&1 & echo $!"
-  OUTPUT_VARIABLE bench_pid
-  OUTPUT_STRIP_TRAILING_WHITESPACE)
-execute_process(COMMAND sh -c "for i in $(seq 1 1200); do \
-grep -q 'socket phase' '${bench_out}' 2>/dev/null && exit 0; \
-sleep 0.05; done; exit 1"
-  RESULT_VARIABLE socket_phase)
-if(NOT socket_phase EQUAL 0)
+  COMMAND sh -c "('${BENCH}' '--connect=unix:${sock}' > '${bench_out}' 2>&1; \
+echo $? > '${bench_status}') > /dev/null 2>&1 &")
+
+macro(fail_bench why)
   kill_daemon()
-  message(FATAL_ERROR "background advisor_bench never reached its socket "
-                      "phase")
+  file(READ "${bench_out}" bench_text)
+  message(FATAL_ERROR "background advisor_bench ${why}:\n${bench_text}")
+endmacro()
+
+execute_process(COMMAND sh -c "for i in $(seq 1 1200); do \
+grep -q 'load against' '${bench_out}' 2>/dev/null && exit 0; \
+test -s '${bench_status}' && exit 1; sleep 0.05; done; exit 1"
+  RESULT_VARIABLE load_started)
+if(NOT load_started EQUAL 0)
+  fail_bench("never started its load")
 endif()
 
 set(prom "${WORK_DIR}/server_smoke.prom")
@@ -135,13 +126,17 @@ if(NOT rc EQUAL 0)
 endif()
 message(STATUS "${out}")
 
-# Let the background bench finish before shutdown-path assertions.
+# Let the background bench finish before shutdown-path assertions, and
+# require that every one of its answers was `ok`.
 execute_process(COMMAND sh -c "for i in $(seq 1 300); do \
-kill -0 ${bench_pid} 2>/dev/null || exit 0; sleep 0.2; done; exit 1"
+test -s '${bench_status}' && exit 0; sleep 0.2; done; exit 1"
   RESULT_VARIABLE bench_wait)
 if(NOT bench_wait EQUAL 0)
-  kill_daemon()
-  message(FATAL_ERROR "background advisor_bench never finished")
+  fail_bench("never finished")
+endif()
+file(STRINGS "${bench_status}" bench_rc)
+if(NOT bench_rc STREQUAL "0")
+  fail_bench("exited with ${bench_rc}")
 endif()
 
 # The exposition must satisfy the format checker (UTF-8, metric/label

@@ -14,9 +14,8 @@
 // measure.sample_wall_s passes 2^8 s.
 //
 // The constructor is public: a FineHistogram is equally usable as a
-// plain member or stack object (server::Service keeps one per wire op;
-// tools/advisor_bench records phase latencies into a local one) and as
-// a named registry metric via MetricsRegistry::histogram() /
+// plain member (server::Service keeps one per wire op) and as a named
+// registry metric via MetricsRegistry::histogram() /
 // HETSCHED_HISTOGRAM_RECORD. Everything is deterministic given the
 // multiset of recorded samples: bin placement is pure arithmetic and
 // quantile() never looks at insertion order, which is what makes served

@@ -483,9 +483,8 @@ DiffResult diff_reports(const RunReport& baseline, const RunReport& current,
 
   for (const auto& [key, base_value] : baseline.scalars) {
     const bool is_wall = ends_with(key, ".wall_s");
-    const bool is_qps = ends_with(key, ".qps");
     const bool is_error = key.rfind("error.", 0) == 0;
-    if (!is_wall && !is_qps && !is_error) continue;  // informational scalar
+    if (!is_wall && !is_error) continue;  // informational scalar
     const auto cur_it = current.scalars.find(key);
     if (cur_it == current.scalars.end()) {
       if (opts.require_all)
@@ -496,12 +495,10 @@ DiffResult diff_reports(const RunReport& baseline, const RunReport& current,
     }
     DiffItem it{key, base_value, cur_it->second, 0, false};
     // A doctored or corrupted baseline must fail loudly, not disarm
-    // the gate: a non-finite value (any rule) or a zero/negative qps
-    // baseline makes the threshold unfireable — base/ratio is then <=
-    // 0 and no collapse, however total, would ever trip it. A
-    // non-finite current value can likewise never compare as worse.
-    if (!std::isfinite(base_value) || !std::isfinite(cur_it->second) ||
-        (is_qps && base_value <= 0.0)) {
+    // the gate: a non-finite value makes the threshold unfireable (NaN
+    // compares false against any limit). A non-finite current value
+    // can likewise never compare as worse.
+    if (!std::isfinite(base_value) || !std::isfinite(cur_it->second)) {
       it.regressed = true;
       out.checked.push_back(it);
       continue;
@@ -509,11 +506,6 @@ DiffResult diff_reports(const RunReport& baseline, const RunReport& current,
     if (is_wall) {
       it.limit = base_value * opts.wall_ratio + 1.0;
       it.regressed = cur_it->second > it.limit;
-    } else if (is_qps) {
-      // *.qps throughputs: collapsing below baseline/ratio = regression
-      // (the mirror image of the wall-clock rule — higher is better).
-      it.limit = base_value / opts.wall_ratio;
-      it.regressed = cur_it->second < it.limit;
     } else {
       // error.* magnitudes: larger error = regression.
       it.limit = error_limit(std::abs(base_value), opts);

@@ -152,9 +152,7 @@ struct DiffOptions {
   double rel_tol = 0.25;
   /// Wall-time scalars (`*.wall_s`) regress when current >
   /// baseline * wall_ratio + 1 s — an order-of-magnitude hang guard
-  /// that stays robust across machines of different speed. Throughput
-  /// scalars (`*.qps`) use the mirror image: regress when current <
-  /// baseline / wall_ratio.
+  /// that stays robust across machines of different speed.
   double wall_ratio = 10.0;
   /// Treat baseline metrics absent from the current report as
   /// regressions instead of skipping them (full-suite runs only).

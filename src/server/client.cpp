@@ -88,7 +88,10 @@ Client& Client::operator=(Client&& other) noexcept {
 void Client::send_bytes(const std::string& raw) {
   std::size_t off = 0;
   while (off < raw.size()) {
-    const ssize_t w = ::write(fd_, raw.data() + off, raw.size() - off);
+    // MSG_NOSIGNAL: a server that closed first fails the send with
+    // EPIPE (thrown below) instead of raising SIGPIPE.
+    const ssize_t w =
+        ::send(fd_, raw.data() + off, raw.size() - off, MSG_NOSIGNAL);
     if (w < 0 && errno == EINTR) continue;
     HETSCHED_CHECK(w > 0, "write to server failed");
     off += static_cast<std::size_t>(w);

@@ -1,7 +1,7 @@
 // Client side of the advisor protocol: connect, frame, round-trip.
 //
 // Used by the scheduler_advisor CLI's --server mode, by
-// tools/advisor_bench's socket phases and by the protocol tests. The
+// tools/advisor_bench's socket load and by the protocol tests. The
 // client is deliberately thin — it moves bytes and frames; request
 // construction and response interpretation stay with the caller, so
 // tests can send arbitrary (including malformed) payloads.
@@ -40,7 +40,8 @@ class Client {
   std::vector<std::string> roundtrip_batch(
       const std::vector<std::string>& payloads);
 
-  /// Raw bytes, no framing — for tests probing framing errors.
+  /// Raw bytes, no framing — for tests probing framing errors. Throws
+  /// hetsched::Error when the server has closed the connection.
   void send_bytes(const std::string& raw);
 
   /// Next response frame payload. Throws hetsched::Error on EOF or an

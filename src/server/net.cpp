@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -22,14 +23,21 @@ namespace hetsched::server {
 
 namespace {
 
+/// Wait between accept() retries after an error while not stopping.
+constexpr std::chrono::milliseconds kAcceptRetry{5};
+
 void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+/// MSG_NOSIGNAL: a peer that hung up before reading its answers fails
+/// this write with EPIPE instead of raising SIGPIPE, which would end
+/// the whole process.
 bool write_all(int fd, const std::string& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t w =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -70,8 +78,13 @@ struct Server::Impl {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener closed by stop()
+        if (stopping.load()) return;  // listener closed by stop()
+        // Anything else (EINTR, EMFILE/ENFILE when descriptors run out,
+        // ECONNABORTED, ENOBUFS) passes: back off briefly, so that a
+        // pending connection does not spin this thread, and accept
+        // again.
+        std::this_thread::sleep_for(kAcceptRetry);
+        continue;
       }
       if (stopping.load()) {
         close_fd(fd);
@@ -135,16 +148,21 @@ struct Server::Impl {
       }
     }
     ::shutdown(fd, SHUT_RDWR);
+    {
+      // Move our own thread handle to the finished list for
+      // stop()/reaping (a thread cannot join itself). This must precede
+      // the close: once closed, accept() may hand the same fd number to
+      // a new connection, whose handle would then collide with ours in
+      // `connections`.
+      std::lock_guard<std::mutex> l(conn_mu);
+      const auto it = connections.find(fd);
+      if (it != connections.end()) {
+        finished.push_back(std::move(it->second));
+        connections.erase(it);
+      }
+    }
     close_fd(fd);
     service.connection_closed();
-    // Move our own thread handle to the finished list for stop()/reaping
-    // (a thread cannot join itself).
-    std::lock_guard<std::mutex> l(conn_mu);
-    const auto it = connections.find(fd);
-    if (it != connections.end()) {
-      finished.push_back(std::move(it->second));
-      connections.erase(it);
-    }
   }
 };
 

@@ -736,9 +736,9 @@ std::string Service::health_result(const ModelSnapshot& snap) const {
   out += ",\"recorded\":";
   out += json_int(static_cast<std::int64_t>(flight_.total()));
   out += "},\"calib\":{\"threshold\":";
-  out += json_number(options_.calib_error_threshold);
+  out += json_number(options_.refit.drift_threshold);
   out += ",\"min_count\":";
-  out += json_int(static_cast<std::int64_t>(options_.calib_min_count));
+  out += json_int(static_cast<std::int64_t>(options_.refit.drift_min_count));
   out += ",\"families\":{";
   {
     std::lock_guard<std::mutex> l(calib_mu_);
@@ -759,8 +759,8 @@ std::string Service::health_result(const ModelSnapshot& snap) const {
       out += ",\"max_abs_rel_err\":";
       out += json_number_or_null(f.max_abs_rel_err);
       out += ",\"degraded\":";
-      out += (f.count >= options_.calib_min_count &&
-              mean_abs > options_.calib_error_threshold)
+      out += (f.count >= options_.refit.drift_min_count &&
+              mean_abs > options_.refit.drift_threshold)
                  ? "true"
                  : "false";
       out += '}';
@@ -772,9 +772,9 @@ std::string Service::health_result(const ModelSnapshot& snap) const {
 
 bool Service::calib_any_degraded() const HETSCHED_REQUIRES(calib_mu_) {
   for (const auto& [name, g] : calib_) {
-    if (g.count >= options_.calib_min_count &&
+    if (g.count >= options_.refit.drift_min_count &&
         g.sum_abs_rel_err / static_cast<double>(g.count) >
-            options_.calib_error_threshold)
+            options_.refit.drift_threshold)
       return true;
   }
   return false;
@@ -823,8 +823,8 @@ std::string Service::observe_result(const std::string& family,
       fam.count == 0 ? abs_rel
                      : fam.sum_abs_rel_err / static_cast<double>(fam.count);
   const bool fam_degraded = !dropped &&
-                            fam.count >= options_.calib_min_count &&
-                            mean_abs > options_.calib_error_threshold;
+                            fam.count >= options_.refit.drift_min_count &&
+                            mean_abs > options_.refit.drift_threshold;
   HETSCHED_COUNTER_ADD("server.calib.observations", 1);
   if (dropped) HETSCHED_COUNTER_ADD("server.calib.dropped", 1);
   // Gauge names must be literals for the metric-name lint; the

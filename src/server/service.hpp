@@ -3,9 +3,9 @@
 // A Service owns the published ModelSnapshot slot, the sharded answer
 // cache and a worker pool, and maps one request payload (the JSON text
 // of a frame) to one canonical response payload. The network layer
-// (net.hpp) and the in-process load harness (tools/advisor_bench) both
-// drive this same entry point, so everything observable about the
-// protocol is testable without sockets.
+// (net.hpp), the tests and perfbench's traced replay all drive this
+// same entry point, so everything observable about the protocol is
+// testable without sockets.
 //
 // Caching: `advise` and `estimate` results are memoized in a
 // ShardedCache<std::string> storing the canonical *result* document.
@@ -54,12 +54,6 @@ struct ServiceOptions {
   /// Flight-recorder depth (rounded up to a power of two): how many of
   /// the most recent requests the `flight` op can replay.
   std::size_t flight_capacity = 4096;
-  /// Calibration watchdog (the `observe` op): a model family is
-  /// `degraded` once it has >= calib_min_count observations whose mean
-  /// |relative error| exceeds calib_error_threshold; any degraded
-  /// family flips the `health` status.
-  double calib_error_threshold = 0.25;
-  std::uint64_t calib_min_count = 8;
   /// Monotone microsecond clock used for flight timestamps, request
   /// wall times, uptime and snapshot age. Null = steady_clock. Tests
   /// (and the golden transcripts in docs/SERVER.md §9) inject a
@@ -69,6 +63,11 @@ struct ServiceOptions {
   /// also lands in a bounded refit buffer; the `refit` op (and the
   /// background cadence below) turns the buffered windows into candidate
   /// models through core::RefitEngine and hot-swaps accepted ones.
+  /// The calibration watchdog (the `observe` op) applies the same
+  /// drift rule per family: a family is `degraded` once it has >=
+  /// refit.drift_min_count observations whose mean |relative error|
+  /// exceeds refit.drift_threshold; any degraded family flips the
+  /// `health` status.
   core::RefitOptions refit;
   std::size_t refit_buffer_capacity = 64;  ///< window per model class
   std::size_t refit_buffer_classes = 64;   ///< most classes buffered

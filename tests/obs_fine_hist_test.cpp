@@ -2,10 +2,10 @@
 // semantics, registry integration and the metrics-JSON `histograms`
 // section.
 //
-// The sub-bucketed histogram backs three user-visible numbers — the
-// server's per-op p50/p99 (docs/SERVER.md §4.6), advisor_bench's
-// reported percentiles, and the registry's histograms scrape — so its
-// arithmetic is pinned here, not just eyeballed.
+// The sub-bucketed histogram backs two user-visible numbers — the
+// server's per-op p50/p99 (docs/SERVER.md §4.6) and the registry's
+// histograms scrape — so its arithmetic is pinned here, not just
+// eyeballed.
 #include "obs/fine_hist.hpp"
 
 #include <gtest/gtest.h>

@@ -254,8 +254,8 @@ TEST(Introspect, ObserveBoundsTheFamilySet) {
 // back once the running mean drops below the threshold.
 TEST(Introspect, DoctoredObserveStreamFlipsHealthToDegraded) {
   ServiceOptions options;
-  options.calib_error_threshold = 0.25;
-  options.calib_min_count = 3;
+  options.refit.drift_threshold = 0.25;
+  options.refit.drift_min_count = 3;
   Service service(testutil::reference_snapshot(), options);
   cluster::Config config;
   config.usage.push_back(cluster::KindUsage{"alpha", 2, 1});
@@ -299,8 +299,8 @@ TEST(Introspect, DoctoredObserveStreamFlipsHealthToDegraded) {
 
 TEST(Introspect, AccurateObserveStreamStaysHealthy) {
   ServiceOptions options;
-  options.calib_error_threshold = 0.25;
-  options.calib_min_count = 3;
+  options.refit.drift_threshold = 0.25;
+  options.refit.drift_min_count = 3;
   Service service(testutil::reference_snapshot(), options);
   cluster::Config config;
   config.usage.push_back(cluster::KindUsage{"alpha", 2, 1});

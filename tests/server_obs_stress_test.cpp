@@ -25,7 +25,7 @@ namespace json = hetsched::obs::json;
 TEST(ObsStress, ScrapersRaceRequestsAndSnapshotSwaps) {
   ServiceOptions options;
   options.flight_capacity = 64;  // small ring → constant wrap-around
-  options.calib_min_count = 4;
+  options.refit.drift_min_count = 4;
   Service service(testutil::reference_snapshot(), options);
   std::atomic<bool> stop{false};
 

@@ -3,16 +3,25 @@
 // poison the stream, the canonical JSON helpers produce the exact bytes
 // the spec promises, and a real socket server enforces all of it end to
 // end — including rejecting malformed payloads without dropping the
-// connection and closing it on an oversized frame.
+// connection, closing it on an oversized frame, surviving clients that
+// hang up unread and accepting again after descriptors ran out.
 #include "server/protocol.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "server/client.hpp"
@@ -137,18 +146,60 @@ class SocketFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     service_ = std::make_unique<Service>(testutil::reference_snapshot());
-    ServerOptions opts;
-    opts.tcp_port = 0;  // ephemeral
+    ServerOptions opts = listener();
     opts.max_payload = 4096;
     server_ = std::make_unique<Server>(*service_, opts);
     server_->start();
-    address_ = "127.0.0.1:" + std::to_string(server_->tcp_port());
+    address_ = opts.unix_path.empty()
+                   ? "127.0.0.1:" + std::to_string(server_->tcp_port())
+                   : "unix:" + opts.unix_path;
   }
   void TearDown() override { server_->stop(); }
+
+  virtual ServerOptions listener() const {
+    ServerOptions opts;
+    opts.tcp_port = 0;  // ephemeral
+    return opts;
+  }
 
   std::unique_ptr<Service> service_;
   std::unique_ptr<Server> server_;
   std::string address_;
+};
+
+// The same server on a Unix socket. A write to a Unix peer that has
+// closed fails at once (TCP takes the first write and resets later),
+// so the hang-up cases below are deterministic here.
+class UnixSocketFixture : public SocketFixture {
+ protected:
+  ServerOptions listener() const override {
+    ServerOptions opts;
+    opts.unix_path =
+        ::testing::TempDir() + "hsp_" + std::to_string(::getpid()) + "_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".sock";
+    return opts;
+  }
+};
+
+const char* const kPing = "{\"hsp\":1,\"id\":1,\"op\":\"ping\"}";
+const char* const kPong = "{\"hsp\":1,\"id\":1,\"ok\":true,\"result\":{}}";
+
+// Lowers this process's soft RLIMIT_NOFILE while it lives.
+class NoFileLimit {
+ public:
+  explicit NoFileLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~NoFileLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  NoFileLimit(const NoFileLimit&) = delete;
+  NoFileLimit& operator=(const NoFileLimit&) = delete;
+
+ private:
+  rlimit saved_{};
 };
 
 TEST_F(SocketFixture, PingRoundTrip) {
@@ -196,6 +247,80 @@ TEST_F(SocketFixture, OversizedFrameAnsweredThenConnectionCloses) {
         (void)client.read_frame();
       },
       Error);
+}
+
+TEST_F(UnixSocketFixture, SendAfterTheServerClosedThrows) {
+  Client client(address_);
+  client.send_bytes(encode_frame(std::string(5000, 'x')));
+  EXPECT_NE(client.read_frame().find("\"code\":\"oversized-frame\""),
+            std::string::npos);
+  // End of stream: the server has closed its end.
+  EXPECT_THROW((void)client.read_frame(), Error);
+  // Without MSG_NOSIGNAL this send raises SIGPIPE and ends the process.
+  EXPECT_THROW(client.send_bytes(encode_frame(kPing)), Error);
+}
+
+TEST_F(UnixSocketFixture, ClientsThatHangUpUnreadDoNotKillTheServer) {
+  std::string burst;
+  for (int i = 0; i < 32; ++i)
+    burst += encode_frame("{\"hsp\":1,\"id\":" + std::to_string(i) +
+                          ",\"op\":\"ping\"}");
+  // Each connection pipelines a batch and closes without reading, so
+  // the server answers a closed peer. Without MSG_NOSIGNAL the first
+  // such write raises SIGPIPE and ends the process.
+  for (int c = 0; c < 20; ++c) Client(address_).send_bytes(burst);
+  Client fresh(address_);
+  // Once only this connection is open, every hung-up one has been
+  // served and closed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::string health;
+  do {
+    health = fresh.roundtrip("{\"hsp\":1,\"op\":\"health\"}");
+  } while (health.find("\"open_connections\":1,") == std::string::npos &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_NE(health.find("\"open_connections\":1,"), std::string::npos)
+      << health;
+  EXPECT_EQ(fresh.roundtrip(kPing), kPong);
+}
+
+TEST_F(UnixSocketFixture, AcceptResumesAfterDescriptorsRanOut) {
+  const std::uint64_t before = server_->connections_accepted();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = address_.substr(5);
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  // Made while descriptors remain, connected once none do. accept()
+  // takes its descriptor before it waits, so a thread already waiting
+  // may still accept this connection; its next call meets EMFILE
+  // either way.
+  const int pending = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(pending, 0);
+  {
+    const NoFileLimit limit(static_cast<rlim_t>(pending) + 32);
+    std::vector<int> filler;
+    for (int fd; (fd = ::socket(AF_UNIX, SOCK_STREAM, 0)) >= 0;)
+      filler.push_back(fd);
+    EXPECT_EQ(errno, EMFILE);
+    EXPECT_EQ(::connect(pending, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (const int fd : filler) ::close(fd);
+  }
+  // Descriptors are free again: the pending connection and a new one
+  // must both be accepted. An accept loop that returns on EMFILE
+  // accepts neither (or only the one its waiting call had room for).
+  Client fresh(address_);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (server_->connections_accepted() < before + 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::uint64_t accepted = server_->connections_accepted();
+  ::close(pending);
+  ASSERT_EQ(accepted, before + 2);
+  EXPECT_EQ(fresh.roundtrip(kPing), kPong);
 }
 
 TEST_F(SocketFixture, UnixAndTcpListenersCoexist) {

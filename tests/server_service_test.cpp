@@ -369,7 +369,7 @@ TEST(ServiceSemantics, HotSwapIsByteIdenticalToColdRestart) {
 // "degraded" against a model that never produced those errors.
 TEST(ServiceSemantics, ReloadResetsCalibrationState) {
   ServiceOptions options;
-  options.calib_min_count = 4;  // flip the watchdog with few samples
+  options.refit.drift_min_count = 4;  // flip the watchdog with few samples
   Service service(testutil::reference_snapshot(), options);
   service.set_reload_handler([] { return testutil::alternate_snapshot(); });
 

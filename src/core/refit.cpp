@@ -26,6 +26,11 @@ const cluster::KindUsage* sole_usage(const cluster::Config& config) {
   return active;
 }
 
+/// Relative error of a prediction against the measured total.
+double rel_err(double predicted, const Observation& o) {
+  return (predicted - o.measured_total()) / o.measured_total();
+}
+
 /// Mean |relative error| of `predict(model, o)` against measured totals
 /// over [begin, end) of a window.
 template <typename Model, typename Predict>
@@ -35,8 +40,7 @@ double holdout_error(const std::deque<Observation>& window, std::size_t begin,
   std::size_t count = 0;
   for (std::size_t i = begin; i < window.size(); ++i) {
     const Observation& o = window[i];
-    const double pred = predict(model, o);
-    sum += std::abs(pred - o.measured_total()) / o.measured_total();
+    sum += std::abs(rel_err(predict(model, o), o));
     ++count;
   }
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -138,14 +142,14 @@ ObservationBuffer::ObservationBuffer(std::size_t per_class_capacity,
 
 std::string ObservationBuffer::class_key(const cluster::Config& config) {
   const cluster::KindUsage* u = sole_usage(config);
-  if (u == nullptr) return "";
+  if (u == nullptr) return std::string(kMixClass);
   // Single-PE bin: the observation exercises the N-T model.
   if (u->pes == 1)
     return "nt:" + u->kind + "/1/" + std::to_string(u->procs_per_pe);
   return "pt:" + u->kind + '/' + std::to_string(u->procs_per_pe);
 }
 
-ObservationBuffer::AddResult ObservationBuffer::add(Observation obs) {
+bool ObservationBuffer::add(Observation obs) {
   HETSCHED_CHECK(obs.n >= 1, "ObservationBuffer: n must be >= 1");
   HETSCHED_CHECK(std::isfinite(obs.measured_tai) && obs.measured_tai >= 0.0 &&
                      std::isfinite(obs.measured_tci) &&
@@ -153,10 +157,9 @@ ObservationBuffer::AddResult ObservationBuffer::add(Observation obs) {
                  "ObservationBuffer: measured parts must be finite, "
                  "non-negative, with a positive total");
   const std::string key = class_key(obs.config);
-  if (key.empty()) return AddResult::kMixedConfig;
   auto it = windows_.find(key);
   if (it == windows_.end()) {
-    if (windows_.size() >= max_classes_) return AddResult::kClassCapHit;
+    if (windows_.size() >= max_classes_) return false;
     it = windows_.emplace(key, std::deque<Observation>{}).first;
   }
   it->second.push_back(std::move(obs));
@@ -165,7 +168,7 @@ ObservationBuffer::AddResult ObservationBuffer::add(Observation obs) {
     it->second.pop_front();
     --size_;
   }
-  return AddResult::kAdded;
+  return true;
 }
 
 const std::deque<Observation>* ObservationBuffer::window(
@@ -186,6 +189,27 @@ void ObservationBuffer::clear() {
   size_ = 0;
 }
 
+WindowStats window_stats(const std::deque<Observation>& window,
+                         std::uint64_t priced_by) {
+  WindowStats stats;
+  double sum = 0.0;
+  double sum_abs = 0.0;
+  for (const Observation& o : window) {
+    if (o.priced_by != priced_by) continue;
+    const double rel = rel_err(o.predicted_total, o);
+    const double abs_rel = std::abs(rel);
+    ++stats.count;
+    sum += rel;
+    sum_abs += abs_rel;
+    stats.max_abs_rel_err = std::max(stats.max_abs_rel_err, abs_rel);
+  }
+  if (stats.count > 0) {
+    stats.mean_rel_err = sum / static_cast<double>(stats.count);
+    stats.mean_abs_rel_err = sum_abs / static_cast<double>(stats.count);
+  }
+  return stats;
+}
+
 RefitEngine::RefitEngine(RefitOptions opts) : opts_(opts) {
   HETSCHED_CHECK(opts_.min_samples > opts_.holdout,
                  "RefitEngine: min_samples must exceed the holdout");
@@ -199,6 +223,7 @@ RefitReport RefitEngine::refit(const Estimator& incumbent,
                                const ObservationBuffer& buf) const {
   RefitReport report;
   for (const std::string& key : buf.class_keys()) {
+    if (key == ObservationBuffer::kMixClass) continue;
     const std::deque<Observation>& window = *buf.window(key);
     const cluster::KindUsage* u = sole_usage(window.front().config);
     HETSCHED_ASSERT(u != nullptr,
@@ -334,8 +359,8 @@ DriftReport RefitEngine::detect_drift(
     std::optional<std::uint64_t> incumbent_fingerprint) const {
   DriftReport report;
   for (const std::string& key : buf.class_keys()) {
+    if (key == ObservationBuffer::kMixClass) continue;
     const std::deque<Observation>& window = *buf.window(key);
-    if (window.size() < opts_.drift_min_count) continue;
     if (!incumbent.covers(window.front().config)) continue;
     double sum_abs = 0.0;
     std::set<int> drifted_ns;
@@ -345,8 +370,7 @@ DriftReport RefitEngine::detect_drift(
                           o.priced_by == incumbent_fingerprint;
       const double pred =
           priced ? o.predicted_total : incumbent.estimate(o.config, o.n);
-      const double rel = std::abs(pred - o.measured_total()) /
-                         o.measured_total();
+      const double rel = std::abs(rel_err(pred, o));
       sum_abs += rel;
       if (rel > opts_.drift_threshold) {
         drifted_ns.insert(o.n);
@@ -354,7 +378,7 @@ DriftReport RefitEngine::detect_drift(
       }
     }
     const double mean_abs = sum_abs / static_cast<double>(window.size());
-    if (mean_abs <= opts_.drift_threshold) continue;
+    if (!opts_.degraded(window.size(), mean_abs)) continue;
     const cluster::KindUsage* u = sole_usage(window.front().config);
     DriftClass dc;
     dc.key = key;

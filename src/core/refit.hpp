@@ -18,6 +18,9 @@
 // (measure::remeasure_plan builds the plans; core cannot depend on
 // measure).
 //
+// The buffer is also the ledger that answers "is this model class
+// wrong" (window_stats, RefitOptions::degraded).
+//
 // Everything here is deterministic: same buffer + same incumbent =>
 // same report, byte for byte (the server's `refit` op result documents
 // and the golden transcripts rely on it).
@@ -29,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -62,29 +66,29 @@ struct Observation {
 /// class. A class is the model an observation can refine: single-PE
 /// configurations refine their N-T model ("nt:kind/pes/m"), homogeneous
 /// multi-PE configurations refine their (kind, m) P-T model
-/// ("pt:kind/m"); mixed configurations touch several models at once and
-/// are not ingested. Oldest observations fall off a full class window;
-/// the class set itself is capped so a misbehaving feed cannot grow
-/// memory without bound.
+/// ("pt:kind/m"). Configurations of two or more kinds touch several
+/// models at once; they share one window, kMixClass, which the ledger
+/// scores and no refit reads. Oldest observations fall off a full class
+/// window; the class set itself is capped so a misbehaving feed cannot
+/// grow memory without bound.
 ///
 /// Not thread-safe: the server guards its buffer with a mutex.
 class ObservationBuffer {
  public:
-  enum class AddResult {
-    kAdded,
-    kMixedConfig,   ///< spans several model classes; not ingestible
-    kClassCapHit,   ///< max_classes reached and this key is new
-  };
+  /// Class key of every configuration of two or more kinds.
+  static constexpr std::string_view kMixClass = "mix";
 
   explicit ObservationBuffer(std::size_t per_class_capacity = 64,
                              std::size_t max_classes = 64);
 
-  /// Model-class key of a configuration, or "" for mixed configurations.
+  /// Model-class key of a configuration; kMixClass when it spans
+  /// several kinds.
   static std::string class_key(const cluster::Config& config);
 
-  /// Ingests one observation. Requires n >= 1 and finite, non-negative
-  /// measured parts with a positive total.
-  AddResult add(Observation obs);
+  /// Ingests one observation; false when refused because max_classes
+  /// is reached and its class is new. Requires n >= 1 and finite,
+  /// non-negative measured parts with a positive total.
+  bool add(Observation obs);
 
   std::size_t size() const { return size_; }
   std::size_t classes() const { return windows_.size(); }
@@ -120,7 +124,29 @@ struct RefitOptions {
   /// downgraded to the `drifted` provenance.
   double drift_threshold = 0.25;
   std::size_t drift_min_count = 8;
+
+  /// The one rule for "is this model class wrong", which `observe`,
+  /// `health` and detect_drift all apply.
+  bool degraded(std::size_t count, double mean_abs_rel_err) const {
+    return count >= drift_min_count && mean_abs_rel_err > drift_threshold;
+  }
 };
+
+/// One class window scored against one model: the observations that
+/// model priced, with rel err = (predicted - measured) / measured.
+struct WindowStats {
+  std::size_t count = 0;
+  double mean_rel_err = 0.0;
+  double mean_abs_rel_err = 0.0;
+  double max_abs_rel_err = 0.0;
+};
+
+/// The statistics of the observations in `window` priced by the model
+/// with fingerprint `priced_by`, from their stored prices (no estimator
+/// call): a model with new content starts at count 0, and a drift
+/// downgrade or an identical reload keeps the evidence.
+WindowStats window_stats(const std::deque<Observation>& window,
+                         std::uint64_t priced_by);
 
 /// Outcome of one class's refit attempt. `action` is a stable tag the
 /// server renders verbatim: "accepted", "rejected" (holdout worse),
@@ -174,13 +200,15 @@ class RefitEngine {
 
   const RefitOptions& options() const { return opts_; }
 
-  /// Attempts a refit of every class in `buf` against `incumbent`.
+  /// Attempts a refit of every class in `buf` against `incumbent`
+  /// (kMixClass refines no single model and is skipped).
   /// Deterministic; never modifies the incumbent.
   RefitReport refit(const Estimator& incumbent,
                     const ObservationBuffer& buf) const;
 
-  /// Flags classes whose live error against `incumbent` exceeds the
-  /// drift threshold, with the distinct (kind, N) cells to re-measure.
+  /// Flags classes (kMixClass aside) that RefitOptions::degraded
+  /// judges against `incumbent`, with the distinct (kind, N) cells to
+  /// re-measure.
   /// With the incumbent's content fingerprint, an observation priced by
   /// that same fingerprint keeps its price; every other observation is
   /// re-estimated. The report is the same either way.

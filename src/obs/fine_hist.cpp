@@ -50,10 +50,15 @@ std::uint64_t FineHistogram::bin_count(std::size_t bin) const noexcept {
   return bin < kBins ? bins_[bin].load(std::memory_order_relaxed) : 0;
 }
 
-double FineHistogram::quantile(double q) const noexcept {
+namespace {
+
+/// Quantile q of a histogram given as its non-empty bins, ascending,
+/// holding `total` samples: walks the cumulative counts to the bucket
+/// holding the ceil(q·total)-th sample and interpolates inside it.
+double quantile_of(const decltype(HistogramSample::bins)& bins,
+                   std::uint64_t total, double q) noexcept {
   if (!(q >= 0.0)) q = 0.0;
   if (q > 1.0) q = 1.0;
-  const std::uint64_t total = count();
   if (total == 0) return 0.0;
   // Rank of the wanted order statistic, 1-based, ceil(q * total)
   // clamped to [1, total] so q=0 is the minimum bucket and q=1 the
@@ -62,34 +67,40 @@ double FineHistogram::quantile(double q) const noexcept {
       std::ceil(q * static_cast<double>(total)));
   if (rank < 1) rank = 1;
   if (rank > total) rank = total;
+  std::size_t i = 0;
   std::uint64_t before = 0;
-  for (std::size_t bin = 0; bin < kBins; ++bin) {
-    const std::uint64_t c = bins_[bin].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    if (before + c >= rank) {
-      if (bin == kBins - 1) return bin_lower(bin);  // cannot span to +inf
-      const double lo = bin_lower(bin);
-      const double hi = bin_upper(bin);
-      // Midpoint convention: the k-th of c samples in the bucket sits at
-      // fraction (k - 0.5) / c of the width.
-      const double frac = (static_cast<double>(rank - before) - 0.5) /
-                          static_cast<double>(c);
-      return lo + (hi - lo) * frac;
-    }
-    before += c;
-  }
-  return bin_lower(kBins - 1);  // racing writers moved the total; overflow
+  while (i + 1 < bins.size() && before + bins[i].second < rank)
+    before += bins[i++].second;
+  const auto [bin, c] = bins[i];
+  if (bin == FineHistogram::kBins - 1)
+    return FineHistogram::bin_lower(bin);  // cannot span to +inf
+  const double lo = FineHistogram::bin_lower(bin);
+  const double hi = FineHistogram::bin_upper(bin);
+  // Midpoint convention: the k-th of c samples in the bucket sits at
+  // fraction (k - 0.5) / c of the width.
+  const double frac =
+      (static_cast<double>(rank - before) - 0.5) / static_cast<double>(c);
+  return lo + (hi - lo) * frac;
+}
+
+}  // namespace
+
+double FineHistogram::quantile(double q) const {
+  const HistogramSample s = sample();
+  return quantile_of(s.bins, s.count, q);
 }
 
 HistogramSample FineHistogram::sample(std::string name) const {
   HistogramSample s;
   s.name = std::move(name);
-  s.count = count();
-  s.sum = sum();
-  s.p50 = quantile(0.5);
-  s.p99 = quantile(0.99);
   for (std::size_t b = 0; b < kBins; ++b)
-    if (const std::uint64_t c = bin_count(b)) s.bins.emplace_back(b, c);
+    if (const std::uint64_t c = bins_[b].load(std::memory_order_relaxed)) {
+      s.bins.emplace_back(b, c);
+      s.count += c;
+    }
+  s.sum = sum();
+  s.p50 = quantile_of(s.bins, s.count, 0.5);
+  s.p99 = quantile_of(s.bins, s.count, 0.99);
   return s;
 }
 

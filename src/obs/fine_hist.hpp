@@ -24,7 +24,9 @@
 // Thread-safety: record() is wait-free and safe from any thread
 // (per-bin relaxed atomics; sums striped like Counter). Readers get
 // per-bin-consistent values; count()/sum()/quantile() taken while
-// writers run are approximate in the usual monotonic-counter sense.
+// writers run are approximate in the usual monotonic-counter sense;
+// sample() reads each bin once, so its count and quantiles agree with
+// its bins.
 #pragma once
 
 #include <array>
@@ -81,10 +83,11 @@ class FineHistogram {
   /// interpolates inside it. Exact to within one bucket width (≤ ~6%
   /// relative); 0 when empty. Deterministic for a fixed multiset of
   /// samples. The overflow bucket reports its lower edge.
-  double quantile(double q) const noexcept;
+  double quantile(double q) const;
 
   /// The scrape-time view, under `name`: count, sum, p50, p99 and the
-  /// non-empty bins — what histogram_json() renders.
+  /// non-empty bins — what histogram_json() renders. Count and
+  /// quantiles are derived from the one copy of the bins.
   HistogramSample sample(std::string name = {}) const;
 
   void reset() noexcept;

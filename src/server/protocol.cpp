@@ -20,8 +20,8 @@ std::string encode_frame(const std::string& payload) {
 
 FrameReader::Status FrameReader::next(std::string& payload) {
   if (poisoned_) return Status::kOversized;
-  if (buf_.size() < 4) return Status::kNeedMore;
-  const auto* b = reinterpret_cast<const unsigned char*>(buf_.data());
+  if (buffered() < 4) return Status::kNeedMore;
+  const auto* b = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
   const std::uint32_t len = (std::uint32_t(b[0]) << 24) |
                             (std::uint32_t(b[1]) << 16) |
                             (std::uint32_t(b[2]) << 8) | std::uint32_t(b[3]);
@@ -29,9 +29,13 @@ FrameReader::Status FrameReader::next(std::string& payload) {
     poisoned_ = true;
     return Status::kOversized;
   }
-  if (buf_.size() < 4 + std::size_t(len)) return Status::kNeedMore;
-  payload.assign(buf_, 4, len);
-  buf_.erase(0, 4 + std::size_t(len));
+  if (buffered() < 4 + std::size_t(len)) return Status::kNeedMore;
+  payload.assign(buf_, pos_ + 4, len);
+  pos_ += 4 + std::size_t(len);
+  if (pos_ == buf_.size()) {  // drained: nothing left to move on feed
+    buf_.clear();
+    pos_ = 0;
+  }
   return Status::kFrame;
 }
 

@@ -64,15 +64,19 @@ std::string encode_frame(const std::string& payload);
 /// error frame and close.
 ///
 /// Thread-safety: none; one reader per connection, owned by its thread.
-/// Complexity: amortized O(bytes fed); feed appends, next erases the
-/// consumed prefix.
+/// Complexity: O(bytes fed). next() only advances a read offset; feed()
+/// drops the consumed prefix once, then appends.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_payload = kDefaultMaxPayload)
       : max_payload_(max_payload) {}
 
   /// Appends raw bytes from the wire.
-  void feed(const char* data, std::size_t len) { buf_.append(data, len); }
+  void feed(const char* data, std::size_t len) {
+    buf_.erase(0, pos_);
+    pos_ = 0;
+    buf_.append(data, len);
+  }
 
   enum class Status {
     kFrame,      ///< `payload` holds the next complete frame
@@ -84,11 +88,12 @@ class FrameReader {
   Status next(std::string& payload);
 
   /// Bytes fed but not yet consumed as frames.
-  std::size_t buffered() const { return buf_.size(); }
+  std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
   std::size_t max_payload_;
   std::string buf_;
+  std::size_t pos_ = 0;  ///< first byte of buf_ not yet consumed
   bool poisoned_ = false;
 };
 

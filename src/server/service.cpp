@@ -24,6 +24,12 @@ namespace json = hetsched::obs::json;
 using json::hex_fingerprint;
 using json::json_number_or_null;
 
+/// Most ranked results one `advise` may request (docs/SERVER.md §4.3).
+constexpr int kMaxTop = 64;
+/// Batches smaller than this are handled inline on the calling thread:
+/// the fork-join handoff costs more than a cached answer.
+constexpr std::size_t kMinBatchForPool = 4;
+
 /// Op table for the flight recorder and the per-op latency histograms.
 /// Index 0 is the bucket for requests that never resolved to an op
 /// (unparseable JSON, missing/bad `op` member, version mismatch).
@@ -157,14 +163,14 @@ struct AdviseParams {
   search::Query query;  // exclude sorted and deduplicated
 };
 
-AdviseParams parse_advise(const json::Value& req, int max_top) {
+AdviseParams parse_advise(const json::Value& req) {
   AdviseParams p;
   search::Query& q = p.query;
   const json::Value* n = req.find("n");
   if (n == nullptr) bad_request("advise requires n");
   p.n = require_int(*n, "n", 1 << 30);
   if (const json::Value* top = req.find("top"))
-    q.top = static_cast<std::size_t>(require_int(*top, "top", max_top));
+    q.top = static_cast<std::size_t>(require_int(*top, "top", kMaxTop));
   if (const json::Value* c = req.find("constraints")) {
     if (!c->is_object()) bad_request("constraints must be an object");
     for (const auto& [key, value] : c->as_object()) {
@@ -361,18 +367,6 @@ void Service::swap_snapshot(std::shared_ptr<const ModelSnapshot> snapshot) {
   HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic");
   swaps_.fetch_add(1, std::memory_order_relaxed);
   HETSCHED_COUNTER_ADD("server.snapshot_swaps", 1);
-  // The calibration watchdog scored the model we just replaced; a new
-  // model starts with a clean slate, or a reload could never clear a
-  // degraded verdict (the stale-calibration bug — regression-tested by
-  // server_service_test.ReloadResetsCalibrationState).
-  {
-    std::lock_guard<std::mutex> l(calib_mu_);
-    calib_.clear();
-  }
-  HETSCHED_ATOMIC_DOC(relaxed, "advisory watchdog verdict; observers "
-                               "tolerate either order around the swap");
-  calib_degraded_.store(false, std::memory_order_relaxed);
-  HETSCHED_GAUGE_SET("server.calib.degraded", 0);
 }
 
 void Service::connection_opened() {
@@ -505,7 +499,7 @@ std::string Service::handle_parsed(const std::string& payload,
     }
 
     if (name == "advise") {
-      const AdviseParams params = parse_advise(req, options_.max_top);
+      const AdviseParams params = parse_advise(req);
       meta.n = params.n;
       const std::string key = advise_cache_key(*snap, params);
       if (auto cached = cache_.lookup(key)) {
@@ -565,15 +559,8 @@ std::string Service::handle_parsed(const std::string& payload,
                            "model set does not cover " + config.to_string()};
       const core::Estimator::Breakdown bd =
           snap->estimator().breakdown(config, size);
-      std::string family = core::to_string(bd.provenance);
-      if (const json::Value* f = req.find("family")) {
-        if (!f->is_string() || f->as_string().empty())
-          bad_request("family must be a non-empty string");
-        family = f->as_string();
-      }
-      ingest_observation(config, size, bd, snap->fingerprint(), t_measured);
-      return ok_response(id,
-                         observe_result(family, bd.total, t_measured));
+      return ok_response(id, observe_result(config, size, bd,
+                                            snap->fingerprint(), t_measured));
     }
 
     if (name == "refit") return ok_response(id, refit_now());
@@ -611,7 +598,7 @@ std::vector<std::string> Service::handle_batch(
     const std::vector<std::string>& payloads) {
   HETSCHED_HISTOGRAM_RECORD("server.batch_size", payloads.size());
   std::vector<std::string> responses(payloads.size());
-  if (payloads.size() < options_.min_batch_for_pool) {
+  if (payloads.size() < kMinBatchForPool) {
     for (std::size_t i = 0; i < payloads.size(); ++i)
       responses[i] = handle_payload(payloads[i]);
     return responses;
@@ -693,9 +680,33 @@ std::string Service::health_result(const ModelSnapshot& snap) const {
   const Counters c = counters();
   HETSCHED_ATOMIC_DOC(relaxed, "advisory admission flag");
   const bool draining = draining_.load(std::memory_order_relaxed);
-  HETSCHED_ATOMIC_DOC(relaxed, "advisory watchdog verdict; recomputed on "
-                               "every observe op");
-  const bool degraded = calib_degraded_.load(std::memory_order_relaxed);
+  // The ledger under the published model: every class that model priced.
+  bool degraded = false;
+  std::string classes;
+  {
+    std::lock_guard<std::mutex> l(obs_mu_);
+    for (const std::string& key : obs_buf_.class_keys()) {
+      const core::WindowStats w =
+          core::window_stats(*obs_buf_.window(key), snap.fingerprint());
+      if (w.count == 0) continue;
+      const bool class_degraded =
+          options_.refit.degraded(w.count, w.mean_abs_rel_err);
+      degraded = degraded || class_degraded;
+      if (!classes.empty()) classes += ',';
+      classes += json_quote(key);
+      classes += ":{\"count\":";
+      classes += json_int(static_cast<std::int64_t>(w.count));
+      classes += ",\"mean_rel_err\":";
+      classes += json_number_or_null(w.mean_rel_err);
+      classes += ",\"mean_abs_rel_err\":";
+      classes += json_number_or_null(w.mean_abs_rel_err);
+      classes += ",\"max_abs_rel_err\":";
+      classes += json_number_or_null(w.max_abs_rel_err);
+      classes += ",\"degraded\":";
+      classes += class_degraded ? "true" : "false";
+      classes += '}';
+    }
+  }
   std::string out = "{\"status\":";
   out += draining ? "\"draining\"" : degraded ? "\"degraded\"" : "\"ok\"";
   out += ",\"uptime_s\":";
@@ -739,130 +750,15 @@ std::string Service::health_result(const ModelSnapshot& snap) const {
   out += json_number(options_.refit.drift_threshold);
   out += ",\"min_count\":";
   out += json_int(static_cast<std::int64_t>(options_.refit.drift_min_count));
-  out += ",\"families\":{";
-  {
-    std::lock_guard<std::mutex> l(calib_mu_);
-    bool first = true;
-    for (const auto& [name, f] : calib_) {
-      if (!first) out += ',';
-      first = false;
-      const double mean_abs =
-          f.sum_abs_rel_err / static_cast<double>(f.count);
-      out += json_quote(name);
-      out += ":{\"count\":";
-      out += json_int(static_cast<std::int64_t>(f.count));
-      out += ",\"mean_rel_err\":";
-      out += json_number_or_null(f.sum_rel_err /
-                                 static_cast<double>(f.count));
-      out += ",\"mean_abs_rel_err\":";
-      out += json_number_or_null(mean_abs);
-      out += ",\"max_abs_rel_err\":";
-      out += json_number_or_null(f.max_abs_rel_err);
-      out += ",\"degraded\":";
-      out += (f.count >= options_.refit.drift_min_count &&
-              mean_abs > options_.refit.drift_threshold)
-                 ? "true"
-                 : "false";
-      out += '}';
-    }
-  }
+  out += ",\"classes\":{";
+  out += classes;
   out += "}}}";
   return out;
 }
 
-bool Service::calib_any_degraded() const HETSCHED_REQUIRES(calib_mu_) {
-  for (const auto& [name, g] : calib_) {
-    if (g.count >= options_.refit.drift_min_count &&
-        g.sum_abs_rel_err / static_cast<double>(g.count) >
-            options_.refit.drift_threshold)
-      return true;
-  }
-  return false;
-}
-
-std::string Service::observe_result(const std::string& family,
-                                    double predicted, double measured) {
-  const double rel = (predicted - measured) / measured;
-  const double abs_rel = std::fabs(rel);
-  CalibFamily fam;
-  bool degraded_any = false;
-  bool dropped = false;
-  {
-    std::lock_guard<std::mutex> l(calib_mu_);
-    auto it = calib_.find(family);
-    if (it == calib_.end() && calib_.size() >= 16) {
-      // Bound the family set so a misbehaving client can't grow an
-      // unbounded map on the serving path. The sample is still answered
-      // (its own error is useful to the caller) but not folded into any
-      // watchdog state; the result flags the drop and the
-      // server.calib.dropped counter makes the loss visible.
-      dropped = true;
-      degraded_any = calib_any_degraded();
-    } else {
-      if (it == calib_.end()) it = calib_.emplace(family, CalibFamily{}).first;
-      CalibFamily& f = it->second;
-      f.count += 1;
-      f.sum_rel_err += rel;
-      f.sum_abs_rel_err += abs_rel;
-      f.max_abs_rel_err = std::max(f.max_abs_rel_err, abs_rel);
-      fam = f;
-      degraded_any = calib_any_degraded();
-    }
-  }
-  HETSCHED_ATOMIC_DOC(relaxed, "advisory watchdog verdict; health_result "
-                               "reads it with the same tolerance");
-  calib_degraded_.store(degraded_any, std::memory_order_relaxed);
-  if (dropped) {
-    // Untracked: render the sample's own statistics with count 0 so the
-    // caller can tell nothing was accumulated.
-    fam.count = 0;
-    fam.sum_abs_rel_err = 0.0;
-    fam.max_abs_rel_err = abs_rel;
-  }
-  const double mean_abs =
-      fam.count == 0 ? abs_rel
-                     : fam.sum_abs_rel_err / static_cast<double>(fam.count);
-  const bool fam_degraded = !dropped &&
-                            fam.count >= options_.refit.drift_min_count &&
-                            mean_abs > options_.refit.drift_threshold;
-  HETSCHED_COUNTER_ADD("server.calib.observations", 1);
-  if (dropped) HETSCHED_COUNTER_ADD("server.calib.dropped", 1);
-  // Gauge names must be literals for the metric-name lint; the
-  // provenance families are a closed set, arbitrary client-chosen
-  // families are visible through `health` instead.
-  if (family == "measured") {
-    HETSCHED_GAUGE_SET("server.calib.measured.mean_abs_rel_err", mean_abs);
-  } else if (family == "composed") {
-    HETSCHED_GAUGE_SET("server.calib.composed.mean_abs_rel_err", mean_abs);
-  } else if (family == "fallback") {
-    HETSCHED_GAUGE_SET("server.calib.fallback.mean_abs_rel_err", mean_abs);
-  }
-  HETSCHED_GAUGE_SET("server.calib.degraded", degraded_any ? 1 : 0);
-  std::string out = "{\"family\":";
-  out += json_quote(family);
-  out += ",\"predicted\":";
-  out += json_number(predicted);
-  out += ",\"measured\":";
-  out += json_number(measured);
-  out += ",\"rel_err\":";
-  out += json_number(rel);
-  out += ",\"count\":";
-  out += json_int(static_cast<std::int64_t>(fam.count));
-  out += ",\"mean_abs_rel_err\":";
-  out += json_number(mean_abs);
-  out += ",\"max_abs_rel_err\":";
-  out += json_number(fam.max_abs_rel_err);
-  out += ",\"degraded\":";
-  out += fam_degraded ? "true" : "false";
-  out += ",\"dropped\":";
-  out += dropped ? "true" : "false";
-  out += '}';
-  return out;
-}
-
-void Service::ingest_observation(const cluster::Config& config, int n,
-                                 const core::Estimator::Breakdown& bd,
-                                 std::uint64_t priced_by, double measured) {
+std::string Service::observe_result(const cluster::Config& config, int n,
+                                    const core::Estimator::Breakdown& bd,
+                                    std::uint64_t priced_by, double measured) {
   // The wire carries only the measured total; split it into computation
   // and communication by the prediction's own ratio — the best available
   // attribution, and exact in the limit where only the overall scale
@@ -876,25 +772,50 @@ void Service::ingest_observation(const cluster::Config& config, int n,
     pred_tci += std::max(0.0, k.tci);
   }
   const double denom = pred_tai + pred_tci;
-  const double ratio = denom > 0.0 ? pred_tai / denom : 1.0;
-  core::Observation obs;
-  obs.config = config;
-  obs.n = n;
-  obs.measured_tai = ratio * measured;
-  obs.measured_tci = measured - obs.measured_tai;
-  // The price drift detection reuses while this model stays published.
-  obs.predicted_total = bd.total;
-  obs.priced_by = priced_by;
-  core::ObservationBuffer::AddResult added;
+  const double tai = (denom > 0.0 ? pred_tai / denom : 1.0) * measured;
+  // The price drift detection and the ledger reuse while this model
+  // stays published.
+  core::Observation obs{config, n, tai, measured - tai, bd.total, priced_by};
+  const std::string key = core::ObservationBuffer::class_key(config);
+  core::WindowStats w;
+  bool dropped = false;
   {
     std::lock_guard<std::mutex> l(obs_mu_);
-    added = obs_buf_.add(std::move(obs));
+    dropped = !obs_buf_.add(std::move(obs));
+    if (!dropped) w = core::window_stats(*obs_buf_.window(key), priced_by);
   }
-  if (added == core::ObservationBuffer::AddResult::kAdded) {
-    HETSCHED_COUNTER_ADD("server.refit.observations", 1);
-  } else {
+  const double rel = (bd.total - measured) / measured;
+  if (dropped) {
+    // Refused at the class cap: the sample's own error, nothing counted.
+    w.mean_abs_rel_err = w.max_abs_rel_err = std::fabs(rel);
     HETSCHED_COUNTER_ADD("server.refit.dropped", 1);
+  } else {
+    HETSCHED_COUNTER_ADD("server.refit.observations", 1);
   }
+  std::string out = "{\"family\":";
+  out += json_quote(core::to_string(bd.provenance));
+  out += ",\"predicted\":";
+  out += json_number(bd.total);
+  out += ",\"measured\":";
+  out += json_number(measured);
+  out += ",\"rel_err\":";
+  out += json_number(rel);
+  out += ",\"class\":";
+  out += json_quote(key);
+  out += ",\"count\":";
+  out += json_int(static_cast<std::int64_t>(w.count));
+  out += ",\"mean_abs_rel_err\":";
+  out += json_number(w.mean_abs_rel_err);
+  out += ",\"max_abs_rel_err\":";
+  out += json_number(w.max_abs_rel_err);
+  out += ",\"degraded\":";
+  out += !dropped && options_.refit.degraded(w.count, w.mean_abs_rel_err)
+             ? "true"
+             : "false";
+  out += ",\"dropped\":";
+  out += dropped ? "true" : "false";
+  out += '}';
+  return out;
 }
 
 std::size_t Service::observation_count() const {
@@ -937,7 +858,7 @@ RefitPass refit_pass(const ModelSnapshot& snap,
   // Drift downgrades apply to classes this round did NOT successfully
   // refit (the evidence indicts the old model; an accepted refit already
   // replaced it) and that are not already marked drifted (republishing
-  // an identical snapshot every pass would churn the calibration state).
+  // an identical snapshot every pass would churn the snapshot slot).
   core::DriftReport stale;
   for (const core::DriftClass& dc : drift.classes) {
     bool accepted = false;
@@ -965,8 +886,8 @@ RefitPass refit_pass(const ModelSnapshot& snap,
         std::move(next), snap.space(), snap.cluster_fingerprint());
     // Publish only when something actually changed: a refit that
     // reproduces the incumbent's coefficients bit-for-bit (steady state
-    // under an unchanged window) must not churn the snapshot and wipe
-    // the calibration watchdog every pass. Drift downgrades are
+    // under an unchanged window) must not churn the snapshot every
+    // pass. Drift downgrades are
     // provenance-only (invisible to the content fingerprint) and always
     // publish — the already-kDrifted filter above bounds that churn.
     if (fresh->fingerprint() != snap.fingerprint() ||

@@ -23,7 +23,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,11 +45,6 @@ struct ServiceOptions {
   std::size_t cache_max_entries_per_shard = 4096;
   /// Worker pool width for handle_batch (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Batches smaller than this are handled inline on the calling
-  /// thread — the fork-join handoff costs more than a cached answer.
-  std::size_t min_batch_for_pool = 4;
-  /// Most ranked results one advise may request (docs/SERVER.md §4.3).
-  int max_top = 64;
   /// Flight-recorder depth (rounded up to a power of two): how many of
   /// the most recent requests the `flight` op can replay.
   std::size_t flight_capacity = 4096;
@@ -59,15 +53,13 @@ struct ServiceOptions {
   /// (and the golden transcripts in docs/SERVER.md §9) inject a
   /// deterministic counter here so timing fields are byte-stable.
   std::uint64_t (*now_us)() = nullptr;
-  /// Online refinement (docs/SERVER.md §4.10). Every accepted `observe`
-  /// also lands in a bounded refit buffer; the `refit` op (and the
-  /// background cadence below) turns the buffered windows into candidate
-  /// models through core::RefitEngine and hot-swaps accepted ones.
-  /// The calibration watchdog (the `observe` op) applies the same
-  /// drift rule per family: a family is `degraded` once it has >=
-  /// refit.drift_min_count observations whose mean |relative error|
-  /// exceeds refit.drift_threshold; any degraded family flips the
-  /// `health` status.
+  /// Online refinement (docs/SERVER.md §4.10). Every `observe` lands in
+  /// a bounded refit buffer; the `refit` op (and the background cadence
+  /// below) turns the buffered windows into candidate models through
+  /// core::RefitEngine and hot-swaps accepted ones. The same buffer is
+  /// the calibration ledger (§4.9): `observe` and `health` score each
+  /// class window against the published model, and refit.degraded()
+  /// decides whether a class flips the `health` status.
   core::RefitOptions refit;
   std::size_t refit_buffer_capacity = 64;  ///< window per model class
   std::size_t refit_buffer_classes = 64;   ///< most classes buffered
@@ -115,12 +107,10 @@ class Service {
   /// Publishes a new snapshot. In-flight requests finish on the old
   /// one; subsequent requests see the new one. Readers wait at most for
   /// the pointer exchange, never for the old snapshot's teardown.
-  /// Per-family calibration watchdog state is reset: those statistics
-  /// measured the *old* model, and carrying them over would leave a
-  /// `degraded` verdict pinned against a model that never produced the
-  /// errors (the stale-calibration bug). The refit observation buffer
-  /// deliberately survives — measurements are ground truth about the
-  /// cluster, not about any particular model.
+  /// Nothing is reset: the observation buffer survives (measurements are
+  /// ground truth about the cluster), and the calibration statistics are
+  /// keyed by the fingerprint of the model that priced each observation,
+  /// so a model with new content starts every class at count 0.
   void swap_snapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// The currently published snapshot.
@@ -214,22 +204,13 @@ class Service {
   std::string metrics_result(const ModelSnapshot& snap,
                              bool process_scope) const;
   std::string health_result(const ModelSnapshot& snap) const;
-  /// Folds one predicted-vs-measured pair into the watchdog state and
-  /// renders the `observe` result document. Past the family cap the
-  /// sample is not tracked (the trailing "dropped" member flags it).
-  std::string observe_result(const std::string& family, double predicted,
-                             double measured);
-  /// Feeds one observation into the refit buffer, splitting the measured
-  /// total into computation/communication by the prediction's ratio and
-  /// keeping the prediction with the fingerprint of the snapshot that
-  /// made it.
-  void ingest_observation(const cluster::Config& config, int n,
-                          const core::Estimator::Breakdown& bd,
-                          std::uint64_t priced_by, double measured);
-  /// True when any calibration family exceeds the watchdog threshold.
-  /// Locking precondition checked by the lock-scope lint rule and the
-  /// clang thread-safety leg.
-  bool calib_any_degraded() const HETSCHED_REQUIRES(calib_mu_);
+  /// Buffers one observation with its price and the fingerprint of the
+  /// snapshot that made it, and renders the `observe` result: the class
+  /// window's statistics under that fingerprint, or "dropped" when the
+  /// buffer refuses the sample at its class cap.
+  std::string observe_result(const cluster::Config& config, int n,
+                             const core::Estimator::Breakdown& bd,
+                             std::uint64_t priced_by, double measured);
 
   ServiceOptions options_ HETSCHED_NOT_GUARDED(
       "set in the constructor, immutable afterwards");
@@ -266,20 +247,10 @@ class Service {
   std::atomic<std::int64_t> open_connections_{0};
   std::atomic<bool> draining_{false};
 
-  /// Calibration watchdog state (`observe` op), keyed by model family.
-  struct CalibFamily {
-    std::uint64_t count = 0;
-    double sum_rel_err = 0.0;
-    double sum_abs_rel_err = 0.0;
-    double max_abs_rel_err = 0.0;
-  };
-  mutable std::mutex calib_mu_;
-  std::map<std::string, CalibFamily> calib_ HETSCHED_GUARDED_BY(calib_mu_);
-  std::atomic<bool> calib_degraded_{false};
-
-  /// Refit observation buffer (`observe` ingest, `refit` consumption).
-  /// Refits copy the buffer and run the engine outside the lock so a
-  /// slow solve never stalls the observe path.
+  /// Refit observation buffer and calibration ledger (`observe`
+  /// ingest, `health` and `refit` consumption). Refits copy the buffer
+  /// and run the engine outside the lock so a slow solve never stalls
+  /// the observe path.
   mutable std::mutex obs_mu_;
   core::ObservationBuffer obs_buf_ HETSCHED_GUARDED_BY(obs_mu_);
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "cluster/pe_kind.hpp"
 #include "cluster/spec.hpp"
@@ -73,14 +74,13 @@ TEST(ObservationBuffer, ClassKeysFollowTheModelBinning) {
   EXPECT_EQ(ObservationBuffer::class_key(group_config(kP2, 4, 2)),
             "pt:" + kP2 + "/2");
   EXPECT_EQ(ObservationBuffer::class_key(cluster::Config::paper(1, 1, 8, 1)),
-            "");  // mixed: spans two model classes
+            "mix");  // spans two model classes
 }
 
 TEST(ObservationBuffer, EvictsOldestPastCapacityAndCapsClasses) {
   ObservationBuffer buf(/*per_class_capacity=*/3, /*max_classes=*/2);
   for (int n = 1; n <= 5; ++n)
-    EXPECT_EQ(buf.add(make_obs(single_pe_config(kAth, 1), n, 1.0, 1.0)),
-              ObservationBuffer::AddResult::kAdded);
+    EXPECT_TRUE(buf.add(make_obs(single_pe_config(kAth, 1), n, 1.0, 1.0)));
   const auto* window = buf.window("nt:" + kAth + "/1/1");
   ASSERT_NE(window, nullptr);
   ASSERT_EQ(window->size(), 3u);
@@ -88,17 +88,14 @@ TEST(ObservationBuffer, EvictsOldestPastCapacityAndCapsClasses) {
   EXPECT_EQ(window->back().n, 5);
   EXPECT_EQ(buf.size(), 3u);
 
-  EXPECT_EQ(buf.add(make_obs(group_config(kP2, 4, 1), 100, 1.0, 1.0)),
-            ObservationBuffer::AddResult::kAdded);
+  EXPECT_TRUE(buf.add(make_obs(group_config(kP2, 4, 1), 100, 1.0, 1.0)));
   EXPECT_EQ(buf.classes(), 2u);
   // Third distinct class: refused, existing windows untouched.
-  EXPECT_EQ(buf.add(make_obs(single_pe_config(kP2, 1), 100, 1.0, 1.0)),
-            ObservationBuffer::AddResult::kClassCapHit);
+  EXPECT_FALSE(buf.add(make_obs(single_pe_config(kP2, 1), 100, 1.0, 1.0)));
   EXPECT_EQ(buf.classes(), 2u);
   EXPECT_EQ(buf.size(), 4u);
-  // Mixed configurations are never ingested.
-  EXPECT_EQ(buf.add(make_obs(cluster::Config::paper(1, 1, 8, 1), 100, 1., 1.)),
-            ObservationBuffer::AddResult::kMixedConfig);
+  // The mix window is a class like any other: refused at the cap.
+  EXPECT_FALSE(buf.add(make_obs(cluster::Config::paper(1, 1, 8, 1), 100, 1., 1.)));
 
   buf.clear();
   EXPECT_EQ(buf.size(), 0u);
@@ -117,6 +114,76 @@ TEST(ObservationBuffer, RejectsMalformedObservations) {
       buf.add(make_obs(single_pe_config(kAth, 1), 10,
                        std::numeric_limits<double>::quiet_NaN(), 1.0)),
       Error);
+}
+
+TEST(ObservationBuffer, WindowStatsScoreOnlyTheGivenModelsPrices) {
+  ObservationBuffer buf;
+  const cluster::Config cfg = single_pe_config(kAth, 1);
+  const auto priced = [&](double predicted, double measured,
+                          std::optional<std::uint64_t> by) {
+    Observation o = make_obs(cfg, 1000, measured, 0.0);
+    o.predicted_total = predicted;
+    o.priced_by = by;
+    buf.add(std::move(o));
+  };
+  priced(12.0, 10.0, 7);  // rel +0.2
+  priced(9.0, 10.0, 7);   // rel -0.1
+  priced(50.0, 10.0, 8);  // another model's price
+  priced(50.0, 10.0, std::nullopt);
+  priced(16.0, 10.0, 7);  // rel +0.6
+  const auto& window = *buf.window("nt:" + kAth + "/1/1");
+  const WindowStats w = window_stats(window, 7);
+  EXPECT_EQ(w.count, 3u);
+  EXPECT_DOUBLE_EQ(w.mean_rel_err, (0.2 - 0.1 + 0.6) / 3);
+  EXPECT_DOUBLE_EQ(w.mean_abs_rel_err, (0.2 + 0.1 + 0.6) / 3);
+  EXPECT_DOUBLE_EQ(w.max_abs_rel_err, 0.6);
+  EXPECT_EQ(window_stats(window, 8).count, 1u);
+  const WindowStats none = window_stats(window, 9);
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.mean_abs_rel_err, 0.0);
+
+  // The one drift rule: at least drift_min_count samples, mean strictly
+  // above drift_threshold.
+  RefitOptions opts;
+  opts.drift_min_count = 3;
+  opts.drift_threshold = 0.25;
+  EXPECT_TRUE(opts.degraded(w.count, w.mean_abs_rel_err));
+  EXPECT_FALSE(opts.degraded(2, 1.0));
+  EXPECT_FALSE(opts.degraded(3, 0.25));
+}
+
+TEST(RefitEngine, TheMixWindowIsBufferedButNeverRefitOrDrifted) {
+  Estimator incumbent = make_estimator();
+  incumbent.add_pt(kAth, 1, simple_pt(1000.0, 0.2));  // prices the mix
+  ObservationBuffer plain;
+  for (const int n : {400, 800, 1200, 1600})
+    for (int rep = 0; rep < 2; ++rep) {
+      const cluster::Config cfg = single_pe_config(kAth, 1);
+      const double t = 1.6 * incumbent.estimate(cfg, n);
+      plain.add(make_obs(cfg, n, 0.7 * t, 0.3 * t));
+    }
+  ObservationBuffer with_mix = plain;
+  const cluster::Config mixed = cluster::Config::paper(1, 1, 8, 1);
+  ASSERT_TRUE(incumbent.covers(mixed));  // so only the key keeps it out
+  for (const int n : {1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000})
+    EXPECT_TRUE(with_mix.add(make_obs(mixed, n, 1e4, 1e4)));
+  ASSERT_NE(with_mix.window("mix"), nullptr);
+  EXPECT_EQ(with_mix.window("mix")->size(), 8u);
+
+  const RefitEngine engine;
+  const RefitReport a = engine.refit(incumbent, plain);
+  const RefitReport b = engine.refit(incumbent, with_mix);
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t i = 0; i < a.classes.size(); ++i) {
+    EXPECT_EQ(a.classes[i].key, b.classes[i].key);
+    EXPECT_EQ(a.classes[i].action, b.classes[i].action);
+  }
+  const DriftReport da = engine.detect_drift(incumbent, plain);
+  const DriftReport db = engine.detect_drift(incumbent, with_mix);
+  ASSERT_EQ(db.classes.size(), 1u);
+  EXPECT_EQ(da.classes.size(), db.classes.size());
+  EXPECT_EQ(db.classes[0].key, "nt:" + kAth + "/1/1");
+  EXPECT_EQ(da.classes[0].mean_abs_rel_err, db.classes[0].mean_abs_rel_err);
 }
 
 TEST(RefitEngine, RecoversShiftedNtCoefficients) {

@@ -76,6 +76,44 @@ TEST(ObsStress, ConcurrentHistogramRecordsKeepCountAndSum) {
   EXPECT_DOUBLE_EQ(h->sum(), expected_sum);
 }
 
+// A scrape taken while writers record must be self-consistent: the
+// `+Inf` bucket hetsched_scrape writes is the sample's count, the finite
+// buckets are summed from its bins, so a count older than the bins
+// would render a `+Inf` bucket below a finite one.
+TEST(ObsStress, FineHistogramSampleCountIsTheSumOfItsBins) {
+  constexpr std::size_t kWriters = 2;
+  obs::FineHistogram h;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> writing{0};
+  int samples = 0, moved = 0, inconsistent = 0;
+  run_threads(kWriters + 1, [&](std::size_t t) {
+    if (t < kWriters) {
+      writing.fetch_add(1, std::memory_order_relaxed);
+      // Latency-like values over a few octaves, so many bins move.
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+        h.record(std::ldexp(1.0 + static_cast<double>(i % 97) / 97.0,
+                            -20 + static_cast<int>((i + t) % 6)));
+      return;
+    }
+    while (writing.load(std::memory_order_relaxed) < kWriters) {
+    }
+    // Sample until 2,000 samples saw the writers move the count (or a
+    // cap, for a host that runs the writers rarely).
+    std::uint64_t last = 0;
+    for (; samples < 20000 && moved < 2000; ++samples) {
+      const obs::HistogramSample s = h.sample();
+      std::uint64_t binned = 0;
+      for (const auto& [bin, count] : s.bins) binned += count;
+      if (binned != s.count) ++inconsistent;
+      if (s.count != last) ++moved;
+      last = s.count;
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(inconsistent, 0) << "of " << samples << " samples, " << moved
+                             << " of which saw the count move";
+}
+
 TEST(ObsStress, ConcurrentMixedRegistrationAndUpdates) {
   constexpr std::size_t kThreads = 16;
   run_threads(kThreads, [&](std::size_t t) {

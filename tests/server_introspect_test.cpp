@@ -2,7 +2,7 @@
 // `flight` and `observe` wire ops plus the C++ entry points the daemon
 // uses for SIGUSR1 dumps (flight_json/metrics_json/health_json).
 //
-// The calibration-watchdog tests are the acceptance criterion for the
+// The calibration-ledger tests are the acceptance criterion for the
 // `observe` op: a doctored stream of predicted-vs-measured pairs with
 // large errors must flip `health` to "degraded", and an accurate stream
 // must not.
@@ -43,13 +43,12 @@ std::string error_code(const std::string& response) {
   return code != nullptr ? code->as_string() : std::string();
 }
 
-std::string observe_req(double measured, const std::string& family = "") {
-  std::string req =
-      "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":1600,"
-      "\"config\":[[\"alpha\",2,1]],\"measured\":" +
-      json_number(measured);  // exact, so rel_err checks can be EQ
-  if (!family.empty()) req += ",\"family\":\"" + family + "\"";
-  return req + "}";
+std::string observe_req(double measured,
+                        const std::string& config = "[[\"alpha\",2,1]]") {
+  return "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":1600,"
+         "\"config\":" +
+         config + ",\"measured\":" + json_number(measured) +
+         "}";  // exact, so rel_err checks can be EQ
 }
 
 TEST(Introspect, MetricsScopeSelectsTheDocument) {
@@ -177,21 +176,25 @@ TEST(Introspect, ObserveComputesRelativeErrorAgainstTheModel) {
   const double measured = predicted / 1.25;  // model over-predicts by 25%
   const json::Value r =
       ok_result(service.handle_payload(observe_req(measured)));
-  // Family defaults to the breakdown provenance of the observed config.
+  // `family` is the breakdown provenance of the observed config.
   EXPECT_EQ(r.find("family")->as_string(), "measured");
   EXPECT_DOUBLE_EQ(r.find("predicted")->as_number(), predicted);
   EXPECT_DOUBLE_EQ(r.find("measured")->as_number(), measured);
   EXPECT_DOUBLE_EQ(r.find("rel_err")->as_number(),
                    (predicted - measured) / measured);
+  EXPECT_EQ(r.find("class")->as_string(), "pt:alpha/1");
   EXPECT_DOUBLE_EQ(r.find("count")->as_number(), 1.0);
   EXPECT_FALSE(r.find("degraded")->as_bool());  // below min_count
 
-  // An explicit family overrides the provenance default and gets its
-  // own running statistics.
-  const json::Value pilot =
-      ok_result(service.handle_payload(observe_req(measured, "pilot")));
-  EXPECT_EQ(pilot.find("family")->as_string(), "pilot");
-  EXPECT_DOUBLE_EQ(pilot.find("count")->as_number(), 1.0);
+  // A `family` member is ignored like any unknown member: the sample
+  // lands in its configuration's class.
+  const json::Value pilot = ok_result(service.handle_payload(
+      "{\"hsp\":1,\"id\":2,\"op\":\"observe\",\"n\":1600,"
+      "\"config\":[[\"alpha\",2,1]],\"measured\":" +
+      json_number(measured) + ",\"family\":\"pilot\"}"));
+  EXPECT_EQ(pilot.find("family")->as_string(), "measured");
+  EXPECT_EQ(pilot.find("class")->as_string(), "pt:alpha/1");
+  EXPECT_DOUBLE_EQ(pilot.find("count")->as_number(), 2.0);
 }
 
 TEST(Introspect, ObserveRejectsMalformedRequests) {
@@ -222,28 +225,42 @@ TEST(Introspect, ObserveRejectsMalformedRequests) {
             "bad-request");
 }
 
-TEST(Introspect, ObserveBoundsTheFamilySet) {
-  Service service(testutil::reference_snapshot());
-  for (int i = 1; i <= 16; ++i) {
-    const json::Value r = ok_result(service.handle_payload(
-        observe_req(100.0, "fam" + std::to_string(i))));
+TEST(Introspect, ObserveBoundsTheClassSet) {
+  // The buffer keeps at most 64 class windows; give the model 70 N-T
+  // classes, alpha[1xm] for m = 1..70.
+  core::Estimator est = testutil::make_estimator(1.0);
+  for (int m = 3; m <= 70; ++m)
+    est.add_nt(core::NtKey{"alpha", 1, m},
+               core::NtModel({0, 0, 0, 300.0}, {0, 0, 0.5}));
+  Service service(std::make_shared<const ModelSnapshot>(
+      std::move(est), testutil::reference_space()));
+  const auto observe_m = [&service](int m) {
+    return ok_result(service.handle_payload(
+        observe_req(100.0, "[[\"alpha\",1," + std::to_string(m) + "]]")));
+  };
+  for (int m = 1; m <= 64; ++m) {
+    const json::Value r = observe_m(m);
+    EXPECT_EQ(r.find("class")->as_string(),
+              "nt:alpha/1/" + std::to_string(m));
     EXPECT_DOUBLE_EQ(r.find("count")->as_number(), 1.0);
     EXPECT_FALSE(r.find("dropped")->as_bool());
   }
-  // The 17th family is answered (the sample's own error is still
-  // useful) but not tracked: count stays 0 and the drop is flagged.
-  const json::Value dropped =
-      ok_result(service.handle_payload(observe_req(100.0, "fam17")));
+  // The 65th class is answered (the sample's own error is still
+  // useful) but not buffered: count stays 0 and the drop is flagged.
+  const json::Value dropped = observe_m(65);
+  EXPECT_EQ(dropped.find("class")->as_string(), "nt:alpha/1/65");
   EXPECT_TRUE(dropped.find("dropped")->as_bool());
   EXPECT_DOUBLE_EQ(dropped.find("count")->as_number(), 0.0);
   EXPECT_FALSE(dropped.find("degraded")->as_bool());
-  // Untracked means untracked: repeating the family does not accumulate.
-  const json::Value repeat =
-      ok_result(service.handle_payload(observe_req(100.0, "fam17")));
-  EXPECT_DOUBLE_EQ(repeat.find("count")->as_number(), 0.0);
-  // Existing families keep accepting observations past the cap.
-  const json::Value again =
-      ok_result(service.handle_payload(observe_req(100.0, "fam3")));
+  const double own = std::fabs(dropped.find("rel_err")->as_number());
+  EXPECT_EQ(dropped.find("mean_abs_rel_err")->as_number(), own);
+  EXPECT_EQ(dropped.find("max_abs_rel_err")->as_number(), own);
+  // Not buffered means not counted: repeating the class does not
+  // accumulate.
+  EXPECT_DOUBLE_EQ(observe_m(65).find("count")->as_number(), 0.0);
+  EXPECT_EQ(service.observation_count(), 64u);
+  // Existing classes keep accepting observations past the cap.
+  const json::Value again = observe_m(3);
   EXPECT_DOUBLE_EQ(again.find("count")->as_number(), 2.0);
   EXPECT_FALSE(again.find("dropped")->as_bool());
 }
@@ -276,12 +293,12 @@ TEST(Introspect, DoctoredObserveStreamFlipsHealthToDegraded) {
   EXPECT_TRUE(third.find("degraded")->as_bool());
   h = ok_result(service.handle_payload("{\"hsp\":1,\"id\":2,\"op\":\"health\"}"));
   EXPECT_EQ(h.find("status")->as_string(), "degraded");
-  const json::Value* fam =
-      h.find("calib")->find("families")->find("measured");
-  ASSERT_NE(fam, nullptr);
-  EXPECT_DOUBLE_EQ(fam->find("count")->as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(fam->find("mean_abs_rel_err")->as_number(), 1.0);
-  EXPECT_TRUE(fam->find("degraded")->as_bool());
+  const json::Value* cls =
+      h.find("calib")->find("classes")->find("pt:alpha/1");
+  ASSERT_NE(cls, nullptr);
+  EXPECT_DOUBLE_EQ(cls->find("count")->as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(cls->find("mean_abs_rel_err")->as_number(), 1.0);
+  EXPECT_TRUE(cls->find("degraded")->as_bool());
 
   // Draining outranks degraded in the status precedence.
   service.set_draining(true);
@@ -371,15 +388,29 @@ TEST(Introspect, HealthAnswersWellUnderTheScrapeBudget) {
   // p99 over the wire; the in-process handler must sit far below that
   // so the budget is spent on transport, not on rendering the answer.
   Service service(testutil::reference_snapshot());
-  // Give health something to report: traffic, cache hits and a couple
-  // of calibration families.
+  // Give health something to report: traffic, cache hits and every
+  // class window of the reference space full (the eight single-kind
+  // classes and mix, 64 observations each), so it walks the whole
+  // ledger.
   for (int i = 0; i < 50; ++i)
     service.handle_payload(
         "{\"hsp\":1,\"id\":1,\"op\":\"estimate\",\"n\":" +
         std::to_string(1000 + 100 * (i % 5)) +
         ",\"config\":[[\"alpha\",2,1]]}");
-  service.handle_payload(observe_req(100.0));
-  service.handle_payload(observe_req(100.0, "pilot"));
+  for (const char* config :
+       {"[[\"alpha\",1,1]]", "[[\"alpha\",1,2]]", "[[\"alpha\",2,1]]",
+        "[[\"alpha\",2,2]]", "[[\"beta\",1,1]]", "[[\"beta\",1,2]]",
+        "[[\"beta\",2,1]]", "[[\"beta\",2,2]]",
+        "[[\"alpha\",2,1],[\"beta\",1,2]]"})
+    for (int i = 0; i < 64; ++i)
+      ok_result(service.handle_payload(observe_req(100.0 + i, config)));
+  ASSERT_EQ(service.observation_count(), 9u * 64u);
+  ASSERT_EQ(json::parse(service.health_json())
+                .find("calib")
+                ->find("classes")
+                ->as_object()
+                .size(),
+            9u);
   obs::FineHistogram lat;
   const std::string req = "{\"hsp\":1,\"id\":1,\"op\":\"health\"}";
   for (int i = 0; i < 500; ++i) {

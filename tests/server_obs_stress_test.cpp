@@ -3,7 +3,7 @@
 // deliberately coarse (valid JSON, monotone counters) — the real
 // payload of this test is the interleaving itself, which TSan checks
 // for data races on the flight ring's seqlock slots, the per-op
-// fine histograms and the calibration map. Run it under
+// fine histograms and the observation ledger. Run it under
 // -fsanitize=thread to audit the lock-free introspection paths.
 #include <gtest/gtest.h>
 
@@ -30,7 +30,11 @@ TEST(ObsStress, ScrapersRaceRequestsAndSnapshotSwaps) {
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> workers;
-  // Request threads: a mix of cache hits/misses, errors and observes.
+  // Request threads: a mix of cache hits/misses, errors and observes,
+  // each thread observing its own ledger class.
+  static const char* const kConfigs[] = {
+      "[[\"alpha\",2,1]]", "[[\"beta\",1,1]]", "[[\"alpha\",1,2]]",
+      "[[\"alpha\",2,1],[\"beta\",2,2]]"};
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&service, &stop, t] {
       const std::string est =
@@ -39,9 +43,8 @@ TEST(ObsStress, ScrapersRaceRequestsAndSnapshotSwaps) {
           ",\"config\":[[\"alpha\",2,1]]}";
       const std::string observe =
           "{\"hsp\":1,\"id\":2,\"op\":\"observe\",\"n\":1600,"
-          "\"config\":[[\"alpha\",2,1]],\"measured\":100.0,"
-          "\"family\":\"stress" +
-          std::to_string(t) + "\"}";
+          "\"config\":" +
+          std::string(kConfigs[t]) + ",\"measured\":100.0}";
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         service.handle_payload(est);
         service.handle_payload(observe);
@@ -112,15 +115,14 @@ TEST(ObsStress, ScrapersRaceRequestsAndSnapshotSwaps) {
   const Service::Counters c = service.counters();
   EXPECT_GT(c.requests, 0u);
   EXPECT_GT(c.errors, 0u);  // the "nope" requests
-  // The final quiescent documents are still well-formed. Snapshot swaps
-  // reset the calibration watchdog (each model is scored from scratch),
-  // so only families observed since the last swap remain — anywhere
-  // between none and all four stress families depending on timing.
+  // The final quiescent documents are still well-formed. The ledger
+  // scores only what the published model priced, so anywhere between
+  // none and all four stress classes are listed, depending on timing.
   const json::Value flight = json::parse(service.flight_json(64));
   EXPECT_EQ(flight.find("schema")->as_string(), "hetsched.flight.v1");
   EXPECT_LE(json::parse(service.health_json())
                 .find("calib")
-                ->find("families")
+                ->find("classes")
                 ->as_object()
                 .size(),
             4u);

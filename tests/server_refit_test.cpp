@@ -34,7 +34,7 @@ std::string observe_req(int n, double measured) {
   return "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":" +
          std::to_string(n) +
          ",\"config\":[[\"beta\",1,1]],\"measured\":" +
-         std::to_string(measured) + ",\"family\":\"fleet\"}";
+         std::to_string(measured) + "}";
 }
 
 const char* kEstimateReq =
@@ -86,8 +86,8 @@ TEST(OnlineRefit, ShiftedFamilyIsRefittedHotSwappedAndErrorDrops) {
               1e-6 * kMeasured);
 
   // Replaying the same stream against the refined model: the mean
-  // |relative error| collapses (the swap reset the family, so the
-  // post-refit statistics are the new model's own).
+  // |relative error| collapses (the ledger scores only what the new
+  // model priced, so the post-refit statistics are its own).
   double post_abs_rel = 1.0;
   for (int n = 400; n <= 3200; n += 400) {
     const json::Value doc =
@@ -148,6 +148,114 @@ TEST(OnlineRefit, UnfittableDriftDowngradesProvenanceAndPlansRemeasure) {
   EXPECT_FALSE(result_of(again)->find("swapped")->as_bool());
   EXPECT_EQ(result_of(again)->find("model_fingerprint")->as_string(),
             rr->find("model_fingerprint")->as_string());
+}
+
+// The ledger is keyed by the model that priced each observation, so a
+// drift-only publish, which changes provenance but not the fingerprint,
+// keeps the evidence: `health` must stay degraded while `estimate`
+// answers `drifted`, or the two answers contradict each other.
+TEST(OnlineRefit, DriftOnlyPublishKeepsHealthDegraded) {
+  Service service(testutil::reference_snapshot());
+  for (int i = 0; i < 8; ++i)
+    (void)service.handle_payload(observe_req(2000, 1189.4));  // 2x miss
+  const auto status = [&service] {
+    return json::parse(service.health_json()).find("status")->as_string();
+  };
+  EXPECT_EQ(status(), "degraded");
+  const std::uint64_t before = service.snapshot()->fingerprint();
+
+  const json::Value refit = json::parse(
+      service.handle_payload("{\"hsp\":1,\"id\":4,\"op\":\"refit\"}"));
+  ASSERT_TRUE(result_of(refit)->find("swapped")->as_bool());
+  ASSERT_EQ(service.snapshot()->fingerprint(), before);  // drift only
+  EXPECT_EQ(result_of(json::parse(service.handle_payload(kEstimateReq)))
+                ->find("provenance")
+                ->as_string(),
+            "drifted");
+  EXPECT_EQ(status(), "degraded");
+  const json::Value health = json::parse(service.health_json());
+  const json::Value* cls =
+      health.find("calib")->find("classes")->find("nt:beta/1/1");
+  ASSERT_NE(cls, nullptr);
+  EXPECT_EQ(cls->find("count")->as_number(), 8.0);
+  EXPECT_TRUE(cls->find("degraded")->as_bool());
+}
+
+// A configuration of two kinds refines no single model: its observation
+// is counted in the `mix` class window, which `health` lists and no
+// refit reads, so the refit document is the same with or without it.
+TEST(OnlineRefit, MixedObserveIsCountedInMixAndLeftOutOfRefits) {
+  Service plain(testutil::reference_snapshot());
+  Service mixed(testutil::reference_snapshot());
+  for (int n = 400; n <= 3200; n += 400) {
+    (void)plain.handle_payload(observe_req(n, 700.0));
+    (void)mixed.handle_payload(observe_req(n, 700.0));
+  }
+  const json::Value mix = json::parse(mixed.handle_payload(
+      "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":2000,"
+      "\"config\":[[\"alpha\",2,1],[\"beta\",1,2]],\"measured\":140.0}"));
+  EXPECT_EQ(result_of(mix)->find("class")->as_string(), "mix");
+  EXPECT_EQ(result_of(mix)->find("count")->as_number(), 1.0);
+  EXPECT_FALSE(result_of(mix)->find("dropped")->as_bool());
+  EXPECT_EQ(mixed.observation_count(), plain.observation_count() + 1);
+  const json::Value health = json::parse(mixed.health_json());
+  ASSERT_NE(health.find("calib")->find("classes")->find("mix"), nullptr);
+
+  const std::string refit = "{\"hsp\":1,\"id\":2,\"op\":\"refit\"}";
+  const std::string expected = plain.handle_payload(refit);
+  EXPECT_EQ(mixed.handle_payload(refit), expected);
+  EXPECT_NE(expected.find("\"accepted\":1"), std::string::npos) << expected;
+}
+
+// `health` and detect_drift read one statistic and one rule: over class
+// windows priced only by the published model, health's per-class mean
+// |relative error| and degraded set equal detect_drift's, to the bit.
+TEST(OnlineRefit, HealthAndDetectDriftAgreeToTheBit) {
+  Service service(testutil::reference_snapshot());
+  Rng rng(20261020);
+  const char* const configs[] = {"[[\"alpha\",1,1]]", "[[\"alpha\",2,2]]",
+                                 "[[\"beta\",1,2]]", "[[\"beta\",2,1]]"};
+  // Per class a different error scale: some past the 0.25 threshold,
+  // some under it, one below drift_min_count.
+  const double scales[] = {1.1, 1.6, 0.5, 1.3};
+  const int counts[] = {12, 9, 20, 5};
+  for (int c = 0; c < 4; ++c)
+    for (int i = 0; i < counts[c]; ++i) {
+      const int n = 500 * static_cast<int>(1 + rng.uniform_index(12));
+      const std::string cfg = configs[c];
+      const std::string est = service.handle_payload(
+          "{\"hsp\":1,\"id\":1,\"op\":\"estimate\",\"n\":" +
+          std::to_string(n) + ",\"config\":" + cfg + "}");
+      const double t = result_of(json::parse(est))->find("t")->as_number() *
+                       scales[c] * rng.uniform(0.9, 1.1);
+      const std::string resp = service.handle_payload(
+          "{\"hsp\":1,\"id\":2,\"op\":\"observe\",\"n\":" +
+          std::to_string(n) + ",\"config\":" + cfg +
+          ",\"measured\":" + json::json_number(t) + "}");
+      ASSERT_TRUE(json::parse(resp).find("ok")->as_bool()) << resp;
+    }
+  const std::shared_ptr<const ModelSnapshot> snap = service.snapshot();
+  const core::RefitEngine engine(service.options().refit);
+  const core::DriftReport drift = engine.detect_drift(
+      snap->estimator(), service.observations(), snap->fingerprint());
+  const json::Value health = json::parse(service.health_json());
+  const auto& classes = health.find("calib")->find("classes")->as_object();
+  ASSERT_EQ(classes.size(), 4u);
+  std::set<std::string> degraded;
+  for (const auto& [key, cls] : classes)
+    if (cls.find("degraded")->as_bool()) degraded.insert(key);
+  std::set<std::string> drifted;
+  for (const core::DriftClass& dc : drift.classes) {
+    drifted.insert(dc.key);
+    const json::Value* cls = health.find("calib")->find("classes")->find(dc.key);
+    ASSERT_NE(cls, nullptr) << dc.key;
+    EXPECT_EQ(cls->find("mean_abs_rel_err")->as_number(), dc.mean_abs_rel_err)
+        << dc.key;
+    EXPECT_EQ(cls->find("count")->as_number(), static_cast<double>(dc.count));
+  }
+  EXPECT_EQ(degraded, drifted);
+  EXPECT_EQ(drifted.size(), 2u);  // the 1.6x and 0.5x classes
+  EXPECT_EQ(health.find("status")->as_string(), "degraded");
 }
 
 // A refit can publish an N-T model whose computation part is negative

@@ -292,7 +292,7 @@ TEST(ServiceSemantics, ErrorCodesMatchTheSpec) {
             "bad-request");
   EXPECT_EQ(error_code(service.handle_payload(
                 "{\"hsp\":1,\"op\":\"advise\",\"n\":1000,\"top\":10000}")),
-            "bad-request");  // top beyond options().max_top
+            "bad-request");  // top beyond 64
   EXPECT_EQ(error_code(service.handle_payload(
                 "{\"hsp\":1,\"op\":\"reload\"}")),
             "unavailable");  // no reload handler installed
@@ -363,53 +363,49 @@ TEST(ServiceSemantics, HotSwapIsByteIdenticalToColdRestart) {
 }
 
 // Regression test for the stale-calibration bug (docs/SERVER.md §5):
-// the per-family watchdog statistics score one particular model, so a
-// snapshot swap must reset them. Before the fix, a degraded verdict
-// earned by the *old* model survived `reload` and pinned `health` on
-// "degraded" against a model that never produced those errors.
+// a degraded verdict earned by the *old* model must not survive a
+// `reload` to different content and pin `health` on "degraded" against
+// a model that never produced those errors. The ledger scores each
+// class only by the observations the published model priced.
 TEST(ServiceSemantics, ReloadResetsCalibrationState) {
   ServiceOptions options;
-  options.refit.drift_min_count = 4;  // flip the watchdog with few samples
+  options.refit.drift_min_count = 4;  // flip the ledger with few samples
   Service service(testutil::reference_snapshot(), options);
   service.set_reload_handler([] { return testutil::alternate_snapshot(); });
 
-  // Drive one family to degraded: 4 observations at twice the predicted
+  // Drive one class to degraded: 4 observations at twice the predicted
   // wall time (|rel err| 0.5 > the 0.25 threshold).
+  const std::string observe_hot =
+      "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":2000,"
+      "\"config\":[[\"beta\",1,1]],\"measured\":";
   for (int i = 0; i < 4; ++i) {
-    const std::string resp = service.handle_payload(
-        "{\"hsp\":1,\"id\":1,\"op\":\"observe\",\"n\":2000,"
-        "\"config\":[[\"beta\",1,1]],\"measured\":1189.4,"
-        "\"family\":\"hot\"}");
+    const std::string resp = service.handle_payload(observe_hot + "1189.4}");
     EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
   }
   json::Value degraded = json::parse(service.health_json());
   ASSERT_EQ(degraded.find("status")->as_string(), "degraded");
-  ASSERT_EQ(
-      degraded.find("calib")->find("families")->as_object().count("hot"), 1u);
+  ASSERT_EQ(degraded.find("calib")->find("classes")->as_object().count(
+                "nt:beta/1/1"),
+            1u);
 
-  // The reload publishes a fresh model; its health must not inherit the
-  // old model's verdict.
+  // The reload publishes a model with new content; its health must not
+  // inherit the old model's verdict.
   const std::string reload = service.handle_payload(
       "{\"hsp\":1,\"id\":2,\"op\":\"reload\"}");
   EXPECT_NE(reload.find("\"swapped\":true"), std::string::npos) << reload;
   json::Value fresh = json::parse(service.health_json());
   EXPECT_EQ(fresh.find("status")->as_string(), "ok");
-  EXPECT_TRUE(fresh.find("calib")->find("families")->as_object().empty());
+  EXPECT_TRUE(fresh.find("calib")->find("classes")->as_object().empty());
 
   // And the new model earns its own verdict from its own observations.
   for (int i = 0; i < 4; ++i)
-    (void)service.handle_payload(
-        "{\"hsp\":1,\"id\":3,\"op\":\"observe\",\"n\":2000,"
-        "\"config\":[[\"beta\",1,1]],\"measured\":3000.0,"
-        "\"family\":\"hot\"}");
+    (void)service.handle_payload(observe_hot + "3000.0}");
   EXPECT_EQ(json::parse(service.health_json()).find("status")->as_string(),
             "degraded");
 }
 
 TEST(ServiceSemantics, BatchPreservesOrderAcrossThePool) {
-  ServiceOptions opts;
-  opts.min_batch_for_pool = 2;  // force the pooled path
-  Service service(testutil::reference_snapshot(), opts);
+  Service service(testutil::reference_snapshot());  // 64 takes the pool
   std::vector<std::string> reqs;
   for (int i = 0; i < 64; ++i)
     reqs.push_back("{\"hsp\":1,\"id\":" + std::to_string(i) +

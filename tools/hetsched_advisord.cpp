@@ -2,7 +2,7 @@
 //
 //   hetsched_advisord [--socket=PATH] [--tcp=PORT]
 //                     [--model=FILE | --plan=basic|nl|ns] [--mpi=121|122]
-//                     [--threads=K] [--cache-shards=K] [--max-frame=BYTES]
+//                     [--threads=K] [--max-frame=BYTES]
 //                     [--prewarm=N1,N2,...] [--dump-prefix=PATH]
 //                     [--refit-interval=SECONDS]
 //                     [--trace-out=FILE] [--metrics-out=FILE]
@@ -47,7 +47,7 @@ namespace {
 int usage() {
   std::cerr << "usage: hetsched_advisord [--socket=PATH] [--tcp=PORT] "
                "[--model=FILE | --plan=basic|nl|ns] [--mpi=121|122] "
-               "[--threads=K] [--cache-shards=K] [--max-frame=BYTES] "
+               "[--threads=K] [--max-frame=BYTES] "
                "[--prewarm=N1,N2,...] [--dump-prefix=PATH] "
                "[--refit-interval=SECONDS] "
             << obs::cli_help() << "\n";
@@ -61,7 +61,6 @@ struct Options {
   std::string plan = "ns";
   std::string mpi = "122";
   std::size_t threads = 0;
-  std::size_t cache_shards = 64;
   std::size_t max_frame = server::kDefaultMaxPayload;
   std::vector<int> prewarm;
   std::string dump_prefix = "hetsched_advisord.";
@@ -130,9 +129,6 @@ int main(int argc, char** argv) {
       opts.mpi = arg.substr(6);
     else if (arg.rfind("--threads=", 0) == 0)
       opts.threads = static_cast<std::size_t>(std::atoi(arg.c_str() + 10));
-    else if (arg.rfind("--cache-shards=", 0) == 0)
-      opts.cache_shards =
-          static_cast<std::size_t>(std::atoi(arg.c_str() + 15));
     else if (arg.rfind("--max-frame=", 0) == 0)
       opts.max_frame = static_cast<std::size_t>(std::atol(arg.c_str() + 12));
     else if (arg.rfind("--prewarm=", 0) == 0) {
@@ -172,7 +168,6 @@ int main(int argc, char** argv) {
                       : "loading " + opts.model_path)
               << "...\n";
     server::ServiceOptions sopts;
-    sopts.cache_shards = opts.cache_shards;
     sopts.threads = opts.threads;
     sopts.refit_interval_us =
         static_cast<std::uint64_t>(opts.refit_interval_s * 1e6);

@@ -20,8 +20,9 @@
 //    the same obs::FineHistogram the server uses; with
 //    --health-slo-ms=X the exit status enforces p99 <= X.
 //  * --check=FILE: validates a Prometheus exposition file (UTF-8,
-//    name/type syntax, TYPE-before-sample, no duplicate series) —
-//    the CI smoke test runs it on this tool's own output.
+//    name/type syntax, TYPE-before-sample, no duplicate series,
+//    histogram buckets cumulative up to a +Inf bucket equal to
+//    _count) — the CI smoke test runs it on this tool's own output.
 //
 // Exit status: 0 ok, 1 scrape/validation failure, 2 usage.
 #include <algorithm>
@@ -255,24 +256,26 @@ std::string render_prometheus(const json::Value& metrics,
                    member(health, "cluster_fingerprint").as_string()) +
                "\"",
            1.0);
+  // Calibration ledger: one series per class window the published
+  // model priced. A window's count falls as it slides and drops to 0
+  // when the model changes, so it is a gauge.
   const json::Value& calib = member(health, "calib");
-  const json::Value& families = member(calib, "families");
-  if (!families.as_object().empty()) {
-    w.type("hetsched_calib_observations", "counter");
+  const json::Value& classes = member(calib, "classes");
+  if (!classes.as_object().empty()) {
+    w.type("hetsched_calib_observations", "gauge");
     w.type("hetsched_calib_mean_abs_rel_err", "gauge");
     w.type("hetsched_calib_max_abs_rel_err", "gauge");
-    w.type("hetsched_calib_family_degraded", "gauge");
-    for (const auto& [family, f] : families.as_object()) {
-      const std::string labels =
-          "family=\"" + prom_escape_label(family) + "\"";
+    w.type("hetsched_calib_class_degraded", "gauge");
+    for (const auto& [key, c] : classes.as_object()) {
+      const std::string labels = "class=\"" + prom_escape_label(key) + "\"";
       w.sample("hetsched_calib_observations", labels,
-               member(f, "count").as_number());
+               member(c, "count").as_number());
       w.sample("hetsched_calib_mean_abs_rel_err", labels,
-               member(f, "mean_abs_rel_err").as_number());
+               member(c, "mean_abs_rel_err").as_number());
       w.sample("hetsched_calib_max_abs_rel_err", labels,
-               member(f, "max_abs_rel_err").as_number());
-      w.sample("hetsched_calib_family_degraded", labels,
-               member(f, "degraded").as_bool() ? 1.0 : 0.0);
+               member(c, "max_abs_rel_err").as_number());
+      w.sample("hetsched_calib_class_degraded", labels,
+               member(c, "degraded").as_bool() ? 1.0 : 0.0);
     }
   }
   return w.str();
@@ -383,6 +386,13 @@ int check_exposition(const std::string& path) {
   std::map<std::string, std::string> types;  // metric name -> type
   std::set<std::string> typed_with_samples;
   std::set<std::string> series_seen;  // name + canonical sorted labels
+  // Per histogram series (name + labels but `le`): the last bucket's le
+  // and count, the line of its +Inf bucket, and its _count.
+  struct Buckets {
+    double le = -HUGE_VAL, count = -HUGE_VAL, total = NAN;
+    std::size_t inf_line = 0;
+  };
+  std::map<std::string, Buckets> histograms;
 
   std::istringstream lines(text);
   std::string line;
@@ -461,15 +471,13 @@ int check_exposition(const std::string& path) {
       problem(line_no, "sample has no value");
       continue;
     }
-    if (value_token != "+Inf" && value_token != "-Inf" &&
-        value_token != "NaN") {
-      try {
-        std::size_t used = 0;
-        (void)std::stod(value_token, &used);
-        if (used != value_token.size()) throw std::invalid_argument(value_token);
-      } catch (const std::exception&) {
-        problem(line_no, "unparseable sample value: " + value_token);
-      }
+    double value = NAN;  // stod also reads +Inf, -Inf and NaN
+    try {
+      std::size_t used = 0;
+      value = std::stod(value_token, &used);
+      if (used != value_token.size()) throw std::invalid_argument(value_token);
+    } catch (const std::exception&) {
+      problem(line_no, "unparseable sample value: " + value_token);
     }
     // TYPE-before-use: histogram/summary series use suffixed names.
     std::string base = name;
@@ -496,7 +504,27 @@ int check_exposition(const std::string& path) {
     }
     if (!series_seen.insert(key).second)
       problem(line_no, "duplicate series: " + key);
+    const auto type = types.find(base);
+    if (type == types.end() || type->second != "histogram") continue;
+    std::string series = base, le;
+    for (const auto& l : labels)
+      if (l.rfind("le=", 0) == 0)
+        le = l.substr(3);
+      else
+        series += '|' + l;
+    Buckets& h = histograms[series];
+    if (name == base + "_count") h.total = value;
+    if (name != base + "_bucket") continue;
+    const double bound = le == "+Inf" ? HUGE_VAL : std::atof(le.c_str());
+    if (!(bound > h.le) || value < h.count)
+      problem(line_no, "buckets must rise in le and count: " + key);
+    h.le = bound;
+    h.count = value;
+    if (le == "+Inf") h.inf_line = line_no;
   }
+  for (const auto& [series, h] : histograms)
+    if (h.inf_line == 0 || h.count != h.total)
+      problem(h.inf_line, "+Inf bucket missing or unequal to _count: " + series);
   if (problems == 0)
     std::cout << "hetsched_scrape: " << path << " ok — "
               << series_seen.size() << " series, " << types.size()

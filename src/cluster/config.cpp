@@ -1,6 +1,6 @@
 #include "cluster/config.hpp"
 
-#include <sstream>
+#include <charconv>
 
 #include "support/error.hpp"
 
@@ -21,16 +21,26 @@ int Config::total_pes() const {
 bool Config::single_pe() const { return total_pes() == 1; }
 
 std::string Config::to_string() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
+  // A guess that fits typical kind names and search::estimate_key's
+  // "@n" suffix in one allocation.
+  out.reserve(24 * usage.size());
+  const auto append_int = [&out](int v) {
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
   for (const auto& u : usage) {
     if (u.pes == 0) continue;
-    if (!first) os << ' ';
-    first = false;
-    os << u.kind << '[' << u.pes << 'x' << u.procs_per_pe << ']';
+    if (!out.empty()) out += ' ';
+    out += u.kind;
+    out += '[';
+    append_int(u.pes);
+    out += 'x';
+    append_int(u.procs_per_pe);
+    out += ']';
   }
-  if (first) os << "(empty)";
-  return os.str();
+  if (out.empty()) out = "(empty)";
+  return out;
 }
 
 Config Config::paper(int p1, int m1, int p2, int m2) {

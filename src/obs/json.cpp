@@ -116,6 +116,7 @@ class Parser {
       ++pos_;
       return Value(std::move(arr));
     }
+    arr.reserve(4);  // a config triple, or the start of a longer run
     for (;;) {
       arr.push_back(parse_value(depth + 1));
       skip_ws();
@@ -136,15 +137,18 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run of plain bytes up to the next quote, escape or
+      // control character in one append.
+      std::size_t end = pos_;
+      while (end < s_.size() && s_[end] != '"' && s_[end] != '\\' &&
+             static_cast<unsigned char>(s_[end]) >= 0x20)
+        ++end;
+      out.append(s_, pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= s_.size()) fail("unterminated string");
       const char c = s_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string");
       if (pos_ >= s_.size()) fail("unterminated escape");
       const char e = s_[pos_++];
       switch (e) {
@@ -212,7 +216,13 @@ class Parser {
       if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
       if (!digits()) fail("digits required in exponent");
     }
-    return Value(std::strtod(s_.c_str() + start, nullptr));
+    double v = 0.0;
+    const auto res = std::from_chars(s_.data() + start, s_.data() + pos_, v);
+    // Out of range leaves `v` unset: strtod then gives the ±inf or ±0
+    // the literal rounds to, as it gave every number before.
+    if (res.ec != std::errc() || res.ptr != s_.data() + pos_)
+      v = std::strtod(s_.c_str() + start, nullptr);
+    return Value(v);
   }
 
   const std::string& s_;
@@ -303,7 +313,7 @@ const std::string& Value::as_string() const {
 
 const Array& Value::as_array() const {
   if (!is_array()) throw TypeError("JSON value is not an array");
-  return *arr_;
+  return arr_;
 }
 
 const Object& Value::as_object() const {
@@ -311,7 +321,7 @@ const Object& Value::as_object() const {
   return *obj_;
 }
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   if (!is_object()) return nullptr;
   const auto it = obj_->find(key);
   return it == obj_->end() ? nullptr : &it->second;

@@ -12,7 +12,8 @@
 // commas. \uXXXX escapes below U+0080 decode to their byte, which makes
 // parse() the exact inverse of json_quote(); higher code points are
 // preserved verbatim rather than decoded (the emitters never produce
-// them).
+// them). Numbers are correctly rounded (std::from_chars, with strtod's
+// ±inf and ±0 where a literal overflows or underflows).
 //
 // Thread-safety: every function is pure; Value is a plain value type.
 // Complexity: O(input length), recursion depth bounded by kMaxDepth.
@@ -24,13 +25,16 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hetsched::obs::json {
 
 class Value;
 using Array = std::vector<Value>;
-using Object = std::map<std::string, Value>;
+/// Transparent comparator: find() looks a member up by string_view
+/// without building a std::string key.
+using Object = std::map<std::string, Value, std::less<>>;
 
 class Value {
  public:
@@ -40,8 +44,7 @@ class Value {
   explicit Value(bool b) : kind_(Kind::kBool), bool_(b) {}
   explicit Value(double d) : kind_(Kind::kNumber), num_(d) {}
   explicit Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
-  explicit Value(Array a)
-      : kind_(Kind::kArray), arr_(std::make_shared<Array>(std::move(a))) {}
+  explicit Value(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
   explicit Value(Object o)
       : kind_(Kind::kObject), obj_(std::make_shared<Object>(std::move(o))) {}
 
@@ -61,14 +64,14 @@ class Value {
   const Object& as_object() const;
 
   /// Object member lookup; nullptr when absent or not an object.
-  const Value* find(const std::string& key) const;
+  const Value* find(std::string_view key) const;
 
  private:
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
   std::string str_;
-  std::shared_ptr<Array> arr_;
+  Array arr_;  // held by value: no separate block per array
   std::shared_ptr<Object> obj_;
 };
 

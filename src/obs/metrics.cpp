@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <array>
+
 #include "obs/fine_hist.hpp"
 #include "obs/json.hpp"
 
@@ -108,6 +110,34 @@ void MetricsRegistry::reset() {
 
 MetricsSnapshot snapshot() { return MetricsRegistry::instance().snapshot(); }
 
+namespace {
+
+/// The text "[lower,upper," of each FineHistogram bin, rendered once:
+/// bin b's text is edges.text[edges.at[b], edges.at[b + 1]).
+struct BinEdgeText {
+  std::string text;
+  std::array<std::size_t, FineHistogram::kBins + 1> at{};
+};
+
+const BinEdgeText& bin_edge_text() {
+  static const BinEdgeText edges = [] {
+    BinEdgeText e;
+    for (std::size_t b = 0; b < FineHistogram::kBins; ++b) {
+      e.at[b] = e.text.size();
+      e.text += '[';
+      e.text += json_number_or_null(FineHistogram::bin_lower(b));
+      e.text += ',';
+      e.text += json_number_or_null(FineHistogram::bin_upper(b));
+      e.text += ',';
+    }
+    e.at[FineHistogram::kBins] = e.text.size();
+    return e;
+  }();
+  return edges;
+}
+
+}  // namespace
+
 std::string histogram_json(const HistogramSample& h, const char* suffix) {
   std::string out = "{\"count\":";
   out += json_int(static_cast<std::int64_t>(h.count));
@@ -122,13 +152,11 @@ std::string histogram_json(const HistogramSample& h, const char* suffix) {
   member("p50", h.p50);
   member("p99", h.p99);
   out += ",\"bins\":[";
+  const BinEdgeText& edges = bin_edge_text();
   for (std::size_t b = 0; b < h.bins.size(); ++b) {
     if (b) out += ',';
-    out += '[';
-    out += json_number_or_null(FineHistogram::bin_lower(h.bins[b].first));
-    out += ',';
-    out += json_number_or_null(FineHistogram::bin_upper(h.bins[b].first));
-    out += ',';
+    const std::size_t bin = h.bins[b].first;
+    out.append(edges.text, edges.at[bin], edges.at[bin + 1] - edges.at[bin]);
     out += json_int(static_cast<std::int64_t>(h.bins[b].second));
     out += ']';
   }

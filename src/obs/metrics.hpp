@@ -171,6 +171,8 @@ MetricsSnapshot snapshot();
 /// {"count":c,"sum<suffix>":s,"p50<suffix>":q,"p99<suffix>":q,
 ///  "bins":[[lower,upper,count],...]}
 /// Non-finite values (the overflow bin's +inf upper edge) render as null.
+/// `h.bins` holds FineHistogram bin indices; the text of every bin's
+/// edges is rendered once per process and copied from there.
 std::string histogram_json(const HistogramSample& h, const char* suffix);
 
 /// The snapshot as one canonical JSON document — the only renderer of the

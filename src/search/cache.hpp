@@ -84,6 +84,16 @@ class ShardedCache {
 
   /// Cached value for `key`, counting a hit or a miss.
   std::optional<V> lookup(const std::string& key) {
+    std::optional<V> out;
+    lookup_with(key, [&out](const V& v) { out = v; });
+    return out;
+  }
+
+  /// Counts a hit or a miss for `key`; on a hit calls `read(value)`
+  /// under the shard lock and returns true. A caller that only needs to
+  /// copy from the value saves lookup()'s copy of it.
+  template <typename F>
+  bool lookup_with(const std::string& key, F&& read) {
     Shard& s = shard_for(key);
     std::lock_guard<std::mutex> l(s.mu);
     const auto it = s.map.find(key);
@@ -92,13 +102,14 @@ class ShardedCache {
       HETSCHED_ATOMIC_DOC(relaxed, "statistics only; the exact count lives "
                                    "in s.misses under the shard lock");
       misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
+      return false;
     }
     ++s.hits;
     HETSCHED_ATOMIC_DOC(relaxed, "statistics only; the exact count lives "
                                  "in s.hits under the shard lock");
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    read(it->second);
+    return true;
   }
 
   /// Stores `value` under `key`. May evict when the shard is at capacity.

@@ -121,7 +121,7 @@ std::string Client::roundtrip(const std::string& payload) {
 std::vector<std::string> Client::roundtrip_batch(
     const std::vector<std::string>& payloads) {
   std::string burst;
-  for (const std::string& p : payloads) burst += encode_frame(p);
+  for (const std::string& p : payloads) append_frame(burst, p);
   send_bytes(burst);
   std::vector<std::string> responses;
   responses.reserve(payloads.size());

@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -30,6 +31,9 @@ void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+/// Most bytes of response frames gathered into one write.
+constexpr std::size_t kMaxGatherBytes = std::size_t{1} << 20;
+
 /// MSG_NOSIGNAL: a peer that hung up before reading its answers fails
 /// this write with EPIPE instead of raising SIGPIPE, which would end
 /// the whole process.
@@ -45,6 +49,26 @@ bool write_all(int fd, const std::string& bytes) {
     off += static_cast<std::size_t>(w);
   }
   return true;
+}
+
+/// Writes `responses` as frames, in order: in one write when they fit
+/// kMaxGatherBytes, else in writes of at most that much (or of one
+/// larger frame), releasing each response once it is copied, so that a
+/// huge batch's answers are never held twice.
+bool write_frames(int fd, std::vector<std::string>& responses) {
+  std::size_t bytes = 0;
+  for (const std::string& r : responses) bytes += 4 + r.size();
+  std::string out;
+  out.reserve(std::min(bytes, kMaxGatherBytes));
+  for (std::string& r : responses) {
+    if (!out.empty() && out.size() + 4 + r.size() > kMaxGatherBytes) {
+      if (!write_all(fd, out)) return false;
+      out.clear();
+    }
+    append_frame(out, r);
+    std::string().swap(r);
+  }
+  return out.empty() || write_all(fd, out);
 }
 
 }  // namespace
@@ -110,6 +134,7 @@ struct Server::Impl {
     service.connection_opened();  // feeds the `health` op
     FrameReader reader(options.max_payload);
     std::vector<std::string> batch;
+    std::string payload;
     char buf[64 * 1024];
     bool open = true;
     while (open && !stopping.load()) {
@@ -119,33 +144,20 @@ struct Server::Impl {
       reader.feed(buf, static_cast<std::size_t>(r));
       // Drain every complete frame this read produced into one batch.
       batch.clear();
-      std::string payload;
-      for (;;) {
-        const FrameReader::Status st = reader.next(payload);
-        if (st == FrameReader::Status::kFrame) {
-          batch.push_back(std::move(payload));
-          continue;
-        }
-        if (st == FrameReader::Status::kOversized) {
-          // Answer what we can, then report and drop the connection —
-          // the stream position is unrecoverable.
-          for (const std::string& resp : service.handle_batch(batch))
-            write_all(fd, encode_frame(resp));
-          batch.clear();
-          write_all(fd, encode_frame(error_response(
-                            "null", errc::kOversizedFrame,
-                            "frame exceeds the server payload limit")));
-          open = false;
-        }
-        break;  // kNeedMore or kOversized
+      FrameReader::Status st = reader.next(payload);
+      for (; st == FrameReader::Status::kFrame; st = reader.next(payload))
+        batch.push_back(std::move(payload));
+      std::vector<std::string> responses;
+      if (!batch.empty()) responses = service.handle_batch(batch);
+      if (st == FrameReader::Status::kOversized) {
+        // Answer what came before it, then report and drop the
+        // connection: the stream position is unrecoverable.
+        responses.push_back(error_response(
+            "null", errc::kOversizedFrame,
+            "frame exceeds the server payload limit"));
+        open = false;
       }
-      if (!batch.empty()) {
-        for (const std::string& resp : service.handle_batch(batch))
-          if (!write_all(fd, encode_frame(resp))) {
-            open = false;
-            break;
-          }
-      }
+      if (!write_frames(fd, responses)) open = false;
     }
     ::shutdown(fd, SHUT_RDWR);
     {

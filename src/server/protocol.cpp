@@ -4,17 +4,21 @@
 
 namespace hetsched::server {
 
-std::string encode_frame(const std::string& payload) {
+void append_frame(std::string& out, const std::string& payload) {
   HETSCHED_CHECK(payload.size() <= 0xffffffffull,
                  "frame payload exceeds the 32-bit length prefix");
   const auto len = static_cast<std::uint32_t>(payload.size());
-  std::string out;
-  out.reserve(4 + payload.size());
   out.push_back(static_cast<char>((len >> 24) & 0xff));
   out.push_back(static_cast<char>((len >> 16) & 0xff));
   out.push_back(static_cast<char>((len >> 8) & 0xff));
   out.push_back(static_cast<char>(len & 0xff));
   out += payload;
+}
+
+std::string encode_frame(const std::string& payload) {
+  std::string out;
+  out.reserve(4 + payload.size());
+  append_frame(out, payload);
   return out;
 }
 

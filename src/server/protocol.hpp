@@ -53,6 +53,9 @@ inline constexpr const char* kInternal = "internal";
 
 /// Prefixes `payload` with its 4-byte big-endian length.
 std::string encode_frame(const std::string& payload);
+/// Appends encode_frame(payload) to `out`, so that several frames can be
+/// gathered into one buffer and written at once.
+void append_frame(std::string& out, const std::string& payload);
 
 /// Incremental frame decoder for one connection's byte stream.
 ///

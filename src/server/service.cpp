@@ -26,8 +26,10 @@ using json::json_number_or_null;
 
 /// Most ranked results one `advise` may request (docs/SERVER.md §4.3).
 constexpr int kMaxTop = 64;
-/// Batches smaller than this are handled inline on the calling thread:
-/// the fork-join handoff costs more than a cached answer.
+/// Batches smaller than this are handled inline on the calling thread,
+/// and so are the requests of a larger batch that are not cache hits
+/// when fewer than this many remain: the fork-join handoff costs more
+/// than a cached answer.
 constexpr std::size_t kMinBatchForPool = 4;
 
 /// Op table for the flight recorder and the per-op latency histograms.
@@ -51,6 +53,22 @@ const std::vector<std::string>& code_table() {
       "oversized-frame"};
   return codes;
 }
+
+/// Indices into op_table().
+enum OpIndex : std::uint16_t {
+  kOpUnresolved,
+  kOpPing,
+  kOpHello,
+  kOpEstimate,
+  kOpAdvise,
+  kOpStats,
+  kOpReload,
+  kOpMetrics,
+  kOpHealth,
+  kOpFlight,
+  kOpObserve,
+  kOpRefit,
+};
 
 std::uint16_t code_index(const char* code) {
   const auto& codes = code_table();
@@ -111,6 +129,7 @@ cluster::Config parse_config(const json::Value& v,
   if (!v.is_array() || v.as_array().empty())
     bad_request("config must be a non-empty array of [kind, pes, m]");
   cluster::Config config;
+  config.usage.reserve(v.as_array().size());
   for (const auto& item : v.as_array()) {
     if (!item.is_array() || item.as_array().size() != 3)
       bad_request("config entries must be [kind, pes, m] triples");
@@ -220,12 +239,17 @@ std::string advise_cache_key(const ModelSnapshot& snap,
 
 std::string estimate_cache_key(const ModelSnapshot& snap,
                                const cluster::Config& config, int n) {
-  std::string key = "v1|estimate|m=";
-  key += hex_fingerprint(snap.fingerprint());
+  const std::string model = hex_fingerprint(snap.fingerprint());
+  const std::string estimate = search::estimate_key(config, n);
+  std::string key;
+  key.reserve(18 + model.size() + snap.cluster_fingerprint().size() +
+              estimate.size());
+  key += "v1|estimate|m=";
+  key += model;
   key += "|c=";
   key += snap.cluster_fingerprint();
   key += '|';
-  key += search::estimate_key(config, n);
+  key += estimate;
   return key;
 }
 
@@ -306,8 +330,8 @@ Service::Service(std::shared_ptr<const ModelSnapshot> snapshot,
       obs_buf_(options.refit_buffer_capacity, options.refit_buffer_classes) {
   HETSCHED_CHECK(this->snapshot() != nullptr,
                  "Service requires an initial snapshot");
-  static_assert(Service::kOpTableSize == 12,
-                "op_wall_ must cover every entry of op_table()");
+  static_assert(Service::kOpTableSize == kOpRefit + 1,
+                "op_wall_ and OpIndex must cover every entry of op_table()");
   start_us_ = clock_now_us();
   HETSCHED_ATOMIC_DOC(relaxed, "constructor runs before any server thread; "
                                "the atomic exists for later swap updates");
@@ -399,42 +423,47 @@ void Service::set_reload_handler(ReloadHandler handler) {
   reload_ = std::move(handler);
 }
 
-std::string Service::handle_payload(const std::string& payload) {
-  HETSCHED_TRACE_SPAN("server", "request");
-  const std::uint64_t arrival = clock_now_us();
+/// One request from its parse to its answer: what start() resolved for
+/// finish(), the flight recorder's and the per-op histograms' metadata,
+/// and the response once there is one.
+struct Service::Request {
+  std::uint64_t arrival = 0;  ///< clock_now_us() when start() began
+  std::uint16_t op = kOpUnresolved;
+  std::uint16_t code = 0;   ///< 0 = ok, else error-code-table index
+  std::uint16_t cache = 0;  ///< 0 = n/a, 1 = hit, 2 = miss
+  std::int32_t n = 0;       ///< problem size, 0 when not applicable
+  std::uint64_t fingerprint = 0;
+  json::Value doc;
+  std::string id = "null";  ///< rendered request id
+  std::shared_ptr<const ModelSnapshot> snap;
+  std::string key;          ///< answer-cache key of an estimate or advise
+  cluster::Config config;   ///< an estimate's configuration
+  AdviseParams advise;
+  std::string response;
+
+  void ok(const std::string& result) { response = ok_response(id, result); }
+  void fail(const char* error, const std::string& message) {
+    code = code_index(error);
+    response = error_response(id, error, message);
+  }
+};
+
+bool Service::start(const std::string& payload, Request& r) {
+  r.arrival = clock_now_us();
   HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic");
   requests_.fetch_add(1, std::memory_order_relaxed);
   HETSCHED_COUNTER_ADD("server.requests", 1);
-  RequestMeta meta;
-  std::string response = handle_parsed(payload, meta);
-  if (meta.code != 0) {
-    HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic");
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    HETSCHED_COUNTER_ADD("server.errors", 1);
-  }
-  const std::uint64_t wall_us = clock_now_us() - arrival;
-  op_wall_[meta.op].record(static_cast<double>(wall_us) * 1e-6);
-  flight_.record(meta.op, meta.code, meta.cache, meta.n, meta.fingerprint,
-                 arrival, wall_us);
-  HETSCHED_COUNTER_ADD("server.flight.records", 1);
-  return response;
-}
-
-std::string Service::handle_parsed(const std::string& payload,
-                                   RequestMeta& meta) {
-  json::Value req;
   try {
-    req = json::parse(payload);
+    r.doc = json::parse(payload);
   } catch (const json::ParseError& e) {
-    meta.code = code_index(errc::kBadJson);
-    return error_response("null", errc::kBadJson, e.what());
+    r.fail(errc::kBadJson, e.what());
+    return true;
   }
-  const std::string id = render_id(req.find("id"));
+  r.id = render_id(r.doc.find("id"));
   try {
-    if (!req.is_object())
-      bad_request("request must be a JSON object");
+    if (!r.doc.is_object()) bad_request("request must be a JSON object");
 
-    const json::Value* hsp = req.find("hsp");
+    const json::Value* hsp = r.doc.find("hsp");
     if (hsp == nullptr) bad_request("request requires hsp");
     if (!hsp->is_number() ||
         hsp->as_number() != double(kProtocolVersion)) {
@@ -443,155 +472,190 @@ std::string Service::handle_parsed(const std::string& payload,
                              std::to_string(kProtocolVersion)};
     }
 
-    const json::Value* op = req.find("op");
+    const json::Value* op = r.doc.find("op");
     if (op == nullptr || !op->is_string())
       bad_request("request requires a string op");
 
-    const std::shared_ptr<const ModelSnapshot> snap = snapshot();
-    meta.fingerprint = snap->fingerprint();
+    r.snap = snapshot();
+    r.fingerprint = r.snap->fingerprint();
     const std::string& name = op->as_string();
     {
       const auto& ops = op_table();
       for (std::size_t i = 1; i < ops.size(); ++i)
-        if (name == ops[i]) meta.op = static_cast<std::uint16_t>(i);
+        if (name == ops[i]) r.op = static_cast<std::uint16_t>(i);
     }
+    if (r.op == kOpUnresolved)
+      throw RequestError{errc::kUnknownOp, "unknown op: " + name};
 
-    if (name == "ping") return ok_response(id, "{}");
-
-    if (name == "hello") {
-      // Version negotiation: when the client offers a list, it must
-      // contain a version we speak (the hsp field already matched).
-      if (const json::Value* versions = req.find("versions")) {
-        if (!versions->is_array())
-          bad_request("versions must be an array of numbers");
-        bool supported = false;
-        for (const auto& v : versions->as_array())
-          supported = supported ||
-                      (v.is_number() &&
-                       v.as_number() == double(kProtocolVersion));
-        if (!supported)
-          throw RequestError{errc::kUnsupportedVersion,
-                             "no offered version is supported"};
-      }
-      return ok_response(id, hello_result(*snap));
-    }
-
-    if (name == "estimate") {
-      const json::Value* n = req.find("n");
+    if (r.op == kOpEstimate) {
+      const json::Value* n = r.doc.find("n");
       if (n == nullptr) bad_request("estimate requires n");
       const int size = require_int(*n, "n", 1 << 30);
-      const json::Value* cfg = req.find("config");
+      const json::Value* cfg = r.doc.find("config");
       if (cfg == nullptr) bad_request("estimate requires config");
-      const cluster::Config config =
-          parse_config(*cfg, snap->estimator().spec());
-      meta.n = size;
-      const std::string key = estimate_cache_key(*snap, config, size);
-      if (auto cached = cache_.lookup(key)) {
-        meta.cache = 1;
-        HETSCHED_COUNTER_ADD("server.cache_hits", 1);
-        return ok_response(id, *cached);
-      }
-      meta.cache = 2;
-      HETSCHED_COUNTER_ADD("server.cache_misses", 1);
-      const std::string result = estimate_result(*snap, config, size);
-      cache_.insert(key, result);
-      return ok_response(id, result);
+      r.config = parse_config(*cfg, r.snap->estimator().spec());
+      r.n = size;
+      r.key = estimate_cache_key(*r.snap, r.config, size);
+    } else if (r.op == kOpAdvise) {
+      r.advise = parse_advise(r.doc);
+      r.n = r.advise.n;
+      r.key = advise_cache_key(*r.snap, r.advise);
+    } else {
+      return false;
     }
-
-    if (name == "advise") {
-      const AdviseParams params = parse_advise(req);
-      meta.n = params.n;
-      const std::string key = advise_cache_key(*snap, params);
-      if (auto cached = cache_.lookup(key)) {
-        meta.cache = 1;
-        HETSCHED_COUNTER_ADD("server.cache_hits", 1);
-        return ok_response(id, *cached);
-      }
-      meta.cache = 2;
-      HETSCHED_COUNTER_ADD("server.cache_misses", 1);
-      HETSCHED_TRACE_SPAN("server", "advise_search");
-      const std::string result = advise_result(*snap, params);
-      cache_.insert(key, result);
-      return ok_response(id, result);
+    if (cache_.lookup_with(r.key,
+                           [&r](const std::string& cached) { r.ok(cached); })) {
+      r.cache = 1;
+      HETSCHED_COUNTER_ADD("server.cache_hits", 1);
+      return true;
     }
-
-    if (name == "stats") return ok_response(id, stats_result(*snap));
-
-    if (name == "metrics") {
-      bool process_scope = true;
-      if (const json::Value* scope = req.find("scope")) {
-        if (!scope->is_string() ||
-            (scope->as_string() != "service" &&
-             scope->as_string() != "process"))
-          bad_request("scope must be \"service\" or \"process\"");
-        process_scope = scope->as_string() == "process";
-      }
-      return ok_response(id, metrics_result(*snap, process_scope));
-    }
-
-    if (name == "health") return ok_response(id, health_result(*snap));
-
-    if (name == "flight") {
-      std::size_t count = flight_.capacity();
-      if (const json::Value* c = req.find("count"))
-        count = static_cast<std::size_t>(require_int(*c, "count", 1 << 20));
-      return ok_response(
-          id, obs::flight::to_json(flight_, count, op_table(), code_table()));
-    }
-
-    if (name == "observe") {
-      const json::Value* n = req.find("n");
-      if (n == nullptr) bad_request("observe requires n");
-      const int size = require_int(*n, "n", 1 << 30);
-      const json::Value* cfg = req.find("config");
-      if (cfg == nullptr) bad_request("observe requires config");
-      const cluster::Config config =
-          parse_config(*cfg, snap->estimator().spec());
-      meta.n = size;
-      const json::Value* measured = req.find("measured");
-      if (measured == nullptr) bad_request("observe requires measured");
-      if (!measured->is_number() || !(measured->as_number() > 0.0) ||
-          !std::isfinite(measured->as_number()))
-        bad_request("measured must be a positive finite number of seconds");
-      const double t_measured = measured->as_number();
-      if (!snap->estimator().covers(config))
-        throw RequestError{errc::kUncovered,
-                           "model set does not cover " + config.to_string()};
-      const core::Estimator::Breakdown bd =
-          snap->estimator().breakdown(config, size);
-      return ok_response(id, observe_result(config, size, bd,
-                                            snap->fingerprint(), t_measured));
-    }
-
-    if (name == "refit") return ok_response(id, refit_now());
-
-    if (name == "reload") {
-      ReloadHandler handler;
-      {
-        std::lock_guard<std::mutex> l(reload_mu_);
-        handler = reload_;
-      }
-      if (!handler)
-        throw RequestError{errc::kUnavailable,
-                           "server was started without a reload source"};
-      std::shared_ptr<const ModelSnapshot> fresh = handler();
-      if (fresh == nullptr)
-        throw RequestError{errc::kUnavailable, "reload produced no model"};
-      swap_snapshot(fresh);
-      std::string out = "{\"swapped\":true,\"model_fingerprint\":";
-      out += json_quote(hex_fingerprint(fresh->fingerprint()));
-      out += '}';
-      return ok_response(id, out);
-    }
-
-    throw RequestError{errc::kUnknownOp, "unknown op: " + name};
+    r.cache = 2;
+    HETSCHED_COUNTER_ADD("server.cache_misses", 1);
+    return false;
   } catch (const RequestError& e) {
-    meta.code = code_index(e.code);
-    return error_response(id, e.code, e.message);
+    r.fail(e.code, e.message);
   } catch (const std::exception& e) {
-    meta.code = code_index(errc::kInternal);
-    return error_response(id, errc::kInternal, e.what());
+    r.fail(errc::kInternal, e.what());
   }
+  return true;
+}
+
+void Service::finish(Request& r) {
+  const ModelSnapshot& snap = *r.snap;
+  try {
+    switch (r.op) {
+      case kOpPing:
+        r.ok("{}");
+        return;
+      case kOpHello:
+        // Version negotiation: when the client offers a list, it must
+        // contain a version we speak (the hsp field already matched).
+        if (const json::Value* versions = r.doc.find("versions")) {
+          if (!versions->is_array())
+            bad_request("versions must be an array of numbers");
+          bool supported = false;
+          for (const auto& v : versions->as_array())
+            supported = supported ||
+                        (v.is_number() &&
+                         v.as_number() == double(kProtocolVersion));
+          if (!supported)
+            throw RequestError{errc::kUnsupportedVersion,
+                               "no offered version is supported"};
+        }
+        r.ok(hello_result(snap));
+        return;
+      case kOpEstimate: {
+        const std::string result = estimate_result(snap, r.config, r.n);
+        cache_.insert(r.key, result);
+        r.ok(result);
+        return;
+      }
+      case kOpAdvise: {
+        HETSCHED_TRACE_SPAN("server", "advise_search");
+        const std::string result = advise_result(snap, r.advise);
+        cache_.insert(r.key, result);
+        r.ok(result);
+        return;
+      }
+      case kOpStats:
+        r.ok(stats_result(snap));
+        return;
+      case kOpMetrics: {
+        bool process_scope = true;
+        if (const json::Value* scope = r.doc.find("scope")) {
+          if (!scope->is_string() ||
+              (scope->as_string() != "service" &&
+               scope->as_string() != "process"))
+            bad_request("scope must be \"service\" or \"process\"");
+          process_scope = scope->as_string() == "process";
+        }
+        r.ok(metrics_result(snap, process_scope));
+        return;
+      }
+      case kOpHealth:
+        r.ok(health_result(snap));
+        return;
+      case kOpFlight: {
+        std::size_t count = flight_.capacity();
+        if (const json::Value* c = r.doc.find("count"))
+          count = static_cast<std::size_t>(require_int(*c, "count", 1 << 20));
+        r.ok(obs::flight::to_json(flight_, count, op_table(), code_table()));
+        return;
+      }
+      case kOpObserve: {
+        const json::Value* n = r.doc.find("n");
+        if (n == nullptr) bad_request("observe requires n");
+        const int size = require_int(*n, "n", 1 << 30);
+        const json::Value* cfg = r.doc.find("config");
+        if (cfg == nullptr) bad_request("observe requires config");
+        const cluster::Config config =
+            parse_config(*cfg, snap.estimator().spec());
+        r.n = size;
+        const json::Value* measured = r.doc.find("measured");
+        if (measured == nullptr) bad_request("observe requires measured");
+        if (!measured->is_number() || !(measured->as_number() > 0.0) ||
+            !std::isfinite(measured->as_number()))
+          bad_request("measured must be a positive finite number of seconds");
+        const double t_measured = measured->as_number();
+        if (!snap.estimator().covers(config))
+          throw RequestError{errc::kUncovered,
+                             "model set does not cover " + config.to_string()};
+        const core::Estimator::Breakdown bd =
+            snap.estimator().breakdown(config, size);
+        r.ok(observe_result(config, size, bd, snap.fingerprint(), t_measured));
+        return;
+      }
+      case kOpRefit:
+        r.ok(refit_now());
+        return;
+      case kOpReload: {
+        ReloadHandler handler;
+        {
+          std::lock_guard<std::mutex> l(reload_mu_);
+          handler = reload_;
+        }
+        if (!handler)
+          throw RequestError{errc::kUnavailable,
+                             "server was started without a reload source"};
+        std::shared_ptr<const ModelSnapshot> fresh = handler();
+        if (fresh == nullptr)
+          throw RequestError{errc::kUnavailable, "reload produced no model"};
+        swap_snapshot(fresh);
+        std::string out = "{\"swapped\":true,\"model_fingerprint\":";
+        out += json_quote(hex_fingerprint(fresh->fingerprint()));
+        out += '}';
+        r.ok(out);
+        return;
+      }
+      default:
+        throw RequestError{errc::kInternal, "unresolved op reached finish"};
+    }
+  } catch (const RequestError& e) {
+    r.fail(e.code, e.message);
+  } catch (const std::exception& e) {
+    r.fail(errc::kInternal, e.what());
+  }
+}
+
+std::string Service::record(Request& r) {
+  if (r.code != 0) {
+    HETSCHED_ATOMIC_DOC(relaxed, "monotonic statistic");
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    HETSCHED_COUNTER_ADD("server.errors", 1);
+  }
+  const std::uint64_t wall_us = clock_now_us() - r.arrival;
+  op_wall_[r.op].record(static_cast<double>(wall_us) * 1e-6);
+  flight_.record(r.op, r.code, r.cache, r.n, r.fingerprint, r.arrival,
+                 wall_us);
+  HETSCHED_COUNTER_ADD("server.flight.records", 1);
+  return std::move(r.response);
+}
+
+std::string Service::handle_payload(const std::string& payload) {
+  HETSCHED_TRACE_SPAN("server", "request");
+  Request r;
+  if (!start(payload, r)) finish(r);
+  return record(r);
 }
 
 std::vector<std::string> Service::handle_batch(
@@ -604,9 +668,28 @@ std::vector<std::string> Service::handle_batch(
     return responses;
   }
   HETSCHED_TRACE_SPAN("server", "batch");
-  pool_.parallel_for(payloads.size(), [&](std::size_t i) {
-    responses[i] = handle_payload(payloads[i]);
-  });
+  // Cache hits (and requests refused before their op runs) are answered
+  // here, on the calling thread; the rest wait for the pool.
+  std::vector<Request> open;
+  std::vector<std::size_t> open_at;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    Request r;
+    if (start(payloads[i], r)) {
+      responses[i] = record(r);
+    } else {
+      open.push_back(std::move(r));
+      open_at.push_back(i);
+    }
+  }
+  const auto answer = [&](std::size_t k) {
+    finish(open[k]);
+    responses[open_at[k]] = record(open[k]);
+  };
+  if (open.size() < kMinBatchForPool) {
+    for (std::size_t k = 0; k < open.size(); ++k) answer(k);
+  } else {
+    pool_.parallel_for(open.size(), answer);
+  }
   return responses;
 }
 

@@ -43,7 +43,10 @@ namespace hetsched::server {
 struct ServiceOptions {
   std::size_t cache_shards = 64;
   std::size_t cache_max_entries_per_shard = 4096;
-  /// Worker pool width for handle_batch (0 = hardware concurrency).
+  /// Worker pool width (0 = hardware concurrency). The pool answers the
+  /// requests of a batch that are not cache hits, when there are at
+  /// least four of them; everything else runs on the calling thread
+  /// (the connection's thread in net.cpp).
   std::size_t threads = 0;
   /// Flight-recorder depth (rounded up to a power of two): how many of
   /// the most recent requests the `flight` op can replay.
@@ -95,8 +98,9 @@ RefitPass refit_pass(const ModelSnapshot& snap,
 /// that mutex only to exchange the pointer and releases the displaced
 /// snapshot after unlocking, so readers never wait on a model build or
 /// teardown.
-/// Concurrent handle_batch calls serialize on the worker pool (each
-/// connection batches independently; see net.cpp).
+/// Each connection batches independently (see net.cpp). Cache hits are
+/// answered on the calling thread; only the rest of a batch goes to the
+/// worker pool, on which concurrent handle_batch calls serialize.
 class Service {
  public:
   explicit Service(std::shared_ptr<const ModelSnapshot> snapshot,
@@ -127,9 +131,16 @@ class Service {
   /// (never throws; every failure becomes an error response).
   std::string handle_payload(const std::string& payload);
 
-  /// Answers a batch of payloads, preserving order. Large batches are
-  /// spread over the worker pool; responses are position-matched to
-  /// requests (the wire also carries ids, but order is kept anyway).
+  /// Answers a batch of payloads, preserving order: responses are
+  /// position-matched to requests (the wire also carries ids, but order
+  /// is kept anyway). A batch of fewer than four runs as that many
+  /// handle_payload calls, in order. In a larger one every payload is
+  /// parsed and probes the answer cache once, on the calling thread,
+  /// which answers the hits (and the requests refused before their op
+  /// runs); the rest, cache misses and ops the cache does not hold, are
+  /// spread over the worker pool when at least four remain, and answered
+  /// here otherwise, so their order relative to the hits is not that of
+  /// the batch.
   std::vector<std::string> handle_batch(
       const std::vector<std::string>& payloads);
 
@@ -187,17 +198,19 @@ class Service {
   static constexpr std::size_t kOpTableSize = 12;
 
  private:
-  /// Per-request metadata the dispatcher fills in for the flight
-  /// recorder and the per-op histograms.
-  struct RequestMeta {
-    std::uint16_t op = 0;     ///< op-table index (0 = unparseable)
-    std::uint16_t code = 0;   ///< 0 = ok, else error-code-table index
-    std::uint16_t cache = 0;  ///< 0 = n/a, 1 = hit, 2 = miss
-    std::int32_t n = 0;       ///< problem size, 0 when not applicable
-    std::uint64_t fingerprint = 0;
-  };
-
-  std::string handle_parsed(const std::string& payload, RequestMeta& meta);
+  /// One request from its parse to its answer (service.cpp).
+  struct Request;
+  /// Counts `payload`, parses it into `r`, resolves its op and, for
+  /// `estimate` and `advise`, probes the answer cache. True when that
+  /// answered the request (a cache hit or an error); finish() answers
+  /// the rest.
+  bool start(const std::string& payload, Request& r);
+  /// Answers a request start() left open: a cache miss, or an op the
+  /// cache does not hold.
+  void finish(Request& r);
+  /// Records an answered request (error count, per-op wall time, flight
+  /// record) and hands back its response.
+  std::string record(Request& r);
   std::uint64_t clock_now_us() const;
   std::string stats_result(const ModelSnapshot& snap) const;
   /// The `metrics` result for either scope ("service" or "process").

@@ -47,10 +47,16 @@ TEST(Config, ZeroPeEntriesDropped) {
 }
 
 TEST(Config, ToStringReadable) {
-  const Config c = Config::paper(1, 2, 4, 1);
-  const std::string s = c.to_string();
-  EXPECT_NE(s.find("[1x2]"), std::string::npos);
-  EXPECT_NE(s.find("[4x1]"), std::string::npos);
+  // The label is part of answers and cache keys: its bytes are pinned.
+  EXPECT_EQ(Config::paper(1, 2, 4, 1).to_string(),
+            "Athlon-1.33GHz[1x2] PentiumII-400MHz[4x1]");
+  Config c;
+  c.usage = {KindUsage{"a", 0, 3}, KindUsage{"b", 12, 1},
+             KindUsage{"c", 0, 1}, KindUsage{"d", 2, 10}};
+  EXPECT_EQ(c.to_string(), "b[12x1] d[2x10]");  // zero-PE entries skipped
+  c.usage = {KindUsage{"a", 0, 3}};
+  EXPECT_EQ(c.to_string(), "(empty)");
+  EXPECT_EQ(Config{}.to_string(), "(empty)");
 }
 
 TEST(Placement, CountsMatchConfig) {

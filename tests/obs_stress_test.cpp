@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -20,17 +21,17 @@ namespace obs = hetsched::obs;
 
 namespace {
 
-// Launch `n` threads, release them through a spin barrier so they
-// arrive at the body together, join all.
+// Launch `n` threads, release them through a latch so they arrive at
+// the body together, join all. The waiters block instead of spinning:
+// with more threads than cores, spinning waiters starve the threads
+// still being started, which under TSan took minutes.
 void run_threads(std::size_t n, const std::function<void(std::size_t)>& body) {
-  std::atomic<std::size_t> ready{0};
+  std::latch ready(static_cast<std::ptrdiff_t>(n));
   std::vector<std::thread> threads;
   threads.reserve(n);
   for (std::size_t t = 0; t < n; ++t)
     threads.emplace_back([&, t] {
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < n) {
-      }
+      ready.arrive_and_wait();
       body(t);
     });
   for (auto& th : threads) th.join();

@@ -13,10 +13,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -132,6 +134,28 @@ TEST(CanonicalJson, EncoderRoundTripsThroughTheParser) {
   }
 }
 
+TEST(CanonicalJson, ParsedNumbersAreBitIdenticalToStrtod) {
+  // Literals past the double range parse to what strtod gives: ±inf on
+  // overflow, ±0 on underflow.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto parsed = [&](const char* text) {
+    return bits(obs::json::parse(text).as_number());
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parsed("1e999"), bits(inf));
+  EXPECT_EQ(parsed("-1e999"), bits(-inf));
+  EXPECT_EQ(parsed("1e-400"), bits(0.0));
+  EXPECT_EQ(parsed("-1e-400"), bits(-0.0));
+  EXPECT_EQ(parsed("5e-324"), bits(std::numeric_limits<double>::denorm_min()));
+  EXPECT_EQ(parsed("-0"), bits(-0.0));
+  for (const char* text :
+       {"1e999", "-1e999", "1e-400", "-1e-400", "5e-324", "-0", "0", "0.1",
+        "2.2250738585072011e-308", "2.4703282292062328e-324",
+        "1.7976931348623157e308", "1.7976931348623159e308", "-2.5e2",
+        "123456789012345678901234567890", "0.30000000000000004"})
+    EXPECT_EQ(parsed(text), bits(std::strtod(text, nullptr))) << text;
+}
+
 TEST(CanonicalJson, NonFiniteNumbersAreRefused) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -230,6 +254,50 @@ TEST_F(SocketFixture, PipelinedBatchKeepsOrder) {
     EXPECT_EQ(resps[static_cast<std::size_t>(i)],
               "{\"hsp\":1,\"id\":" + std::to_string(i) +
                   ",\"ok\":true,\"result\":{}}");
+
+  // Estimates between pings: uncached on the first pass, answered from
+  // the cache on the second. Each answer is the one a fresh service
+  // gives the request alone.
+  Service reference(testutil::reference_snapshot());
+  for (int pass = 0; pass < 2; ++pass) {
+    reqs.clear();
+    for (int i = 0; i < 16; ++i) {
+      const std::string id = std::to_string(100 * pass + i);
+      reqs.push_back("{\"hsp\":1,\"id\":" + id +
+                     ",\"op\":\"estimate\",\"n\":" +
+                     std::to_string(1000 + 100 * i) +
+                     ",\"config\":[[\"alpha\",2,1],[\"beta\",1,2]]}");
+      if (i % 4 == 3)
+        reqs.push_back("{\"hsp\":1,\"id\":\"p" + id + "\",\"op\":\"ping\"}");
+    }
+    const std::vector<std::string> got = client.roundtrip_batch(reqs);
+    ASSERT_EQ(got.size(), reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+      EXPECT_EQ(got[i], reference.handle_payload(reqs[i])) << reqs[i];
+  }
+  EXPECT_EQ(service_->counters().cache_hits, 16u);
+  EXPECT_EQ(service_->counters().cache_misses, 16u);
+
+  // A batch whose answers pass the server's 1 MiB gather buffer goes
+  // out in several writes, still in order.
+  const std::size_t one =
+      client.roundtrip("{\"hsp\":1,\"id\":0,\"op\":\"metrics\"}").size();
+  reqs.clear();
+  for (std::size_t i = 0; i < 2 * (std::size_t{1} << 20) / one + 2; ++i)
+    reqs.push_back("{\"hsp\":1,\"id\":" + std::to_string(i) +
+                   ",\"op\":\"metrics\"}");
+  const std::vector<std::string> big = client.roundtrip_batch(reqs);
+  ASSERT_EQ(big.size(), reqs.size());
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    EXPECT_EQ(big[i].rfind("{\"hsp\":1,\"id\":" + std::to_string(i) +
+                               ",\"ok\":true,",
+                           0),
+              0u)
+        << big[i].substr(0, 80);
+    bytes += big[i].size();
+  }
+  EXPECT_GT(bytes, std::size_t{1} << 20);
 }
 
 TEST_F(SocketFixture, OversizedFrameAnsweredThenConnectionCloses) {
@@ -247,6 +315,25 @@ TEST_F(SocketFixture, OversizedFrameAnsweredThenConnectionCloses) {
         (void)client.read_frame();
       },
       Error);
+}
+
+TEST_F(UnixSocketFixture, FramesBeforeAnOversizedOneAreAnsweredFirst) {
+  // One write: eight pings, then a frame over the 4 KiB limit.
+  Client client(address_);
+  std::string bytes;
+  for (int i = 0; i < 8; ++i)
+    bytes += encode_frame("{\"hsp\":1,\"id\":" + std::to_string(i) +
+                          ",\"op\":\"ping\"}");
+  bytes += encode_frame(std::string(5000, 'x'));
+  client.send_bytes(bytes);
+  for (int i = 0; i < 8; ++i)
+    EXPECT_EQ(client.read_frame(), "{\"hsp\":1,\"id\":" + std::to_string(i) +
+                                       ",\"ok\":true,\"result\":{}}");
+  EXPECT_EQ(client.read_frame(),
+            "{\"hsp\":1,\"id\":null,\"ok\":false,\"error\":"
+            "{\"code\":\"oversized-frame\",\"message\":"
+            "\"frame exceeds the server payload limit\"}}");
+  EXPECT_THROW((void)client.read_frame(), Error);  // end of stream
 }
 
 TEST_F(UnixSocketFixture, SendAfterTheServerClosedThrows) {

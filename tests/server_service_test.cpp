@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "core/optimizer.hpp"
+#include "obs/hooks.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "search/engine.hpp"
 #include "server_test_util.hpp"
 
@@ -402,6 +404,73 @@ TEST(ServiceSemantics, ReloadResetsCalibrationState) {
     (void)service.handle_payload(observe_hot + "3000.0}");
   EXPECT_EQ(json::parse(service.health_json()).find("status")->as_string(),
             "degraded");
+}
+
+/// An `estimate` of one fixed two-kind configuration at size `n`.
+std::string estimate_req(const std::string& id, int n) {
+  return "{\"hsp\":1,\"id\":" + id + ",\"op\":\"estimate\",\"n\":" +
+         std::to_string(n) +
+         ",\"config\":[[\"alpha\",2,1],[\"beta\",1,2]]}";
+}
+
+std::uint64_t pool_calls() {
+  return obs::snapshot().counter_value("pool.parallel_for_calls");
+}
+
+TEST(ServiceSemantics, BatchAnswersCacheHitsWithoutThePool) {
+  ServiceOptions opts;
+  opts.threads = 2;
+  Service service(testutil::reference_snapshot(), opts);
+  Service reference(testutil::reference_snapshot());
+  std::vector<std::string> reqs, want;
+  for (int i = 0; i < 16; ++i) {
+    reqs.push_back(estimate_req(std::to_string(i), 1000 + 100 * i));
+    want.push_back(reference.handle_payload(reqs.back()));
+  }
+  const std::uint64_t before = pool_calls();
+  EXPECT_EQ(service.handle_batch(reqs), want);  // 16 misses
+  const std::uint64_t after_misses = pool_calls();
+  EXPECT_EQ(service.handle_batch(reqs), want);  // 16 hits
+  const std::uint64_t after_hits = pool_calls();
+  EXPECT_EQ(service.counters().cache_misses, 16u);
+  EXPECT_EQ(service.counters().cache_hits, 16u);
+#if HETSCHED_OBS_ACTIVE
+  EXPECT_EQ(after_misses, before + 1);  // the misses fan out
+  EXPECT_EQ(after_hits, after_misses);  // the hits stay on this thread
+#else
+  EXPECT_EQ(after_hits, before);  // no counters in this build
+  (void)after_misses;
+#endif
+}
+
+TEST(ServiceSemantics, MixedBatchCountsEachRequestOnce) {
+  ServiceOptions opts;
+  opts.threads = 2;
+  Service service(testutil::reference_snapshot(), opts);
+  Service reference(testutil::reference_snapshot());
+  for (int i = 0; i < 4; ++i)  // the hits-to-be, cached
+    (void)service.handle_payload(estimate_req("0", 1000 + 100 * i));
+  const auto recorded = [&service] {
+    const json::Value health = json::parse(service.health_json());
+    return health.find("flight")->find("recorded")->as_number();
+  };
+  const Service::Counters c0 = service.counters();
+  const double flight0 = recorded();
+  const std::vector<std::string> reqs = {
+      estimate_req("1", 1000),       estimate_req("2", 5000),  // hit, miss
+      "{\"hsp\":1,\"id\":3,\"op\":\"ping\"}", estimate_req("4", 1100),
+      "this is not json",             estimate_req("6", 5100),
+      estimate_req("7", 1200),        estimate_req("8", 5200),
+      estimate_req("9", 1300)};  // 4 hits, 3 misses, a ping, bad JSON
+  std::vector<std::string> want;
+  for (const std::string& r : reqs) want.push_back(reference.handle_payload(r));
+  EXPECT_EQ(service.handle_batch(reqs), want);
+  const Service::Counters c1 = service.counters();
+  EXPECT_EQ(c1.requests, c0.requests + 9);
+  EXPECT_EQ(c1.cache_hits, c0.cache_hits + 4);
+  EXPECT_EQ(c1.cache_misses, c0.cache_misses + 3);
+  EXPECT_EQ(c1.errors, c0.errors + 1);
+  EXPECT_EQ(recorded(), flight0 + 9);
 }
 
 TEST(ServiceSemantics, BatchPreservesOrderAcrossThePool) {

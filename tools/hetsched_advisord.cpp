@@ -20,15 +20,17 @@
 // SIGTERM/SIGINT drain open connections, flush the --metrics-out /
 // --report-out / --trace-out artifacts, and exit 0. The `reload`
 // protocol op does the same as SIGHUP, remotely.
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/model_builder.hpp"
@@ -43,6 +45,10 @@
 using namespace hetsched;
 
 namespace {
+
+/// Upper bounds of the numeric flags (docs/SERVER.md §7).
+constexpr std::size_t kMaxThreads = 256;
+constexpr double kMaxRefitIntervalS = 7 * 86400.0;  // one week
 
 int usage() {
   std::cerr << "usage: hetsched_advisord [--socket=PATH] [--tcp=PORT] "
@@ -66,6 +72,20 @@ struct Options {
   std::string dump_prefix = "hetsched_advisord.";
   double refit_interval_s = 0;  // 0 = no background refits
 };
+
+/// `text`, the whole of it, as a number in [lo, hi]: false for an empty
+/// token, a sign an unsigned type cannot take, trailing bytes, NaN, an
+/// overflow or a value out of range, so that "x" is refused rather than
+/// read as 0 and "-1" rather than wrapped to SIZE_MAX.
+template <typename T>
+bool parse_number(std::string_view text, T lo, T hi, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(lo <= v && v <= hi)) return false;
+  out = v;
+  return true;
+}
 
 /// SIGUSR1 handler body: write the flight recorder and a full metrics
 /// snapshot to <prefix><unix-epoch-seconds>.{flight,metrics}.json.
@@ -115,41 +135,47 @@ int main(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (obs::consume_arg(arg))
+    const std::string_view value =
+        std::string_view(arg).substr(arg.find('=') + 1);
+    bool valid = true;
+    if (obs::consume_arg(arg)) {
       continue;
-    else if (arg.rfind("--socket=", 0) == 0)
-      opts.socket_path = arg.substr(9);
-    else if (arg.rfind("--tcp=", 0) == 0)
-      opts.tcp_port = std::atoi(arg.c_str() + 6);
-    else if (arg.rfind("--model=", 0) == 0)
-      opts.model_path = arg.substr(8);
-    else if (arg.rfind("--plan=", 0) == 0)
-      opts.plan = arg.substr(7);
-    else if (arg.rfind("--mpi=", 0) == 0)
-      opts.mpi = arg.substr(6);
-    else if (arg.rfind("--threads=", 0) == 0)
-      opts.threads = static_cast<std::size_t>(std::atoi(arg.c_str() + 10));
-    else if (arg.rfind("--max-frame=", 0) == 0)
-      opts.max_frame = static_cast<std::size_t>(std::atol(arg.c_str() + 12));
-    else if (arg.rfind("--prewarm=", 0) == 0) {
-      std::string list = arg.substr(10);
-      for (std::size_t at = 0; at < list.size();) {
-        const std::size_t comma = list.find(',', at);
-        opts.prewarm.push_back(std::atoi(list.c_str() + at));
-        at = comma == std::string::npos ? list.size() : comma + 1;
+    } else if (arg.rfind("--socket=", 0) == 0) {
+      opts.socket_path = value;
+    } else if (arg.rfind("--tcp=", 0) == 0) {
+      valid = parse_number(value, 0, 65535, opts.tcp_port);
+    } else if (arg.rfind("--model=", 0) == 0) {
+      opts.model_path = value;
+    } else if (arg.rfind("--plan=", 0) == 0) {
+      opts.plan = value;
+      valid = value == "basic" || value == "nl" || value == "ns";
+    } else if (arg.rfind("--mpi=", 0) == 0) {
+      opts.mpi = value;
+      valid = value == "121" || value == "122";
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      valid = parse_number<std::size_t>(value, 0, kMaxThreads, opts.threads);
+    } else if (arg.rfind("--max-frame=", 0) == 0) {
+      valid = parse_number<std::size_t>(value, 1, 0xffffffffu, opts.max_frame);
+    } else if (arg.rfind("--prewarm=", 0) == 0) {
+      // Comma-separated problem sizes, each within the protocol's n.
+      for (std::size_t at = 0; valid && at <= value.size();) {
+        const std::size_t comma = std::min(value.find(',', at), value.size());
+        int n = 0;
+        valid = parse_number(value.substr(at, comma - at), 1, 1 << 30, n);
+        opts.prewarm.push_back(n);
+        at = comma + 1;
       }
     } else if (arg.rfind("--dump-prefix=", 0) == 0) {
-      opts.dump_prefix = arg.substr(14);
+      opts.dump_prefix = value;
     } else if (arg.rfind("--refit-interval=", 0) == 0) {
-      opts.refit_interval_s = std::atof(arg.c_str() + 17);
-      if (!(opts.refit_interval_s >= 0)) return usage();
+      valid = parse_number(value, 0.0, kMaxRefitIntervalS,
+                           opts.refit_interval_s);
     } else {
-      return usage();
+      valid = false;
     }
+    if (!valid) return usage();
   }
   if (opts.socket_path.empty() && opts.tcp_port < 0) return usage();
-  if (opts.plan != "basic" && opts.plan != "nl" && opts.plan != "ns")
-    return usage();
 
   // Block the control signals before any thread exists, so every thread
   // inherits the mask and only the sigwait loop below receives them.
